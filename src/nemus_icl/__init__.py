@@ -61,6 +61,7 @@ from .nemus import (
     region_similarity,
 )
 from .oracle import (
+    Bk,
     EnumCaps,
     Program,
     RangeRestrictionFault,
@@ -73,7 +74,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntiSubstitution", "ArityError", "Atom", "Binding", "Clause", "Directive", "EnumCaps",
+    "AntiSubstitution", "ArityError", "Atom", "Binding", "Bk", "Clause", "Directive", "EnumCaps",
     "GroundAtom", "Hypothesis", "ISpace", "InventionBias", "KbError",
     "KnowledgeBase", "LearnResult", "LearnTask", "ParseError",
     "PreconditionFault", "PredicateSpace", "Program", "RangeRestrictionFault",

@@ -21,6 +21,7 @@ from .kb import (
     render_clause,
     render_clause_atoms,
     render_ground_atom,
+    setting_error,
 )
 from .nemus import compile_kb, dump
 from .oracle import EnumCaps, RangeRestrictionFault, enumerate_hypotheses, verify
@@ -55,10 +56,13 @@ def _effective_task(kb, args) -> LearnTask:
     task = kb.task
     if task is None:
         raise KbError("the KB file declares no learning task (missing target directive)")
-    if getattr(args, "max_body", None) is not None:
-        task = replace(task, max_body=args.max_body)
-    if getattr(args, "tau", None) is not None:
-        task = replace(task, tau=args.tau)
+    for name in ("max_body", "tau"):
+        value = getattr(args, name, None)
+        if value is not None:
+            problem = setting_error(name, value)
+            if problem:
+                raise KbError(f"--{name.replace('_', '-')} {value}: {problem}")
+            task = replace(task, **{name: value})
     return task
 
 
@@ -86,6 +90,11 @@ def _clause_json(clause, symbols) -> dict:
 
 def _print_json(doc: dict):
     print(json.dumps(doc, indent=2))
+
+
+def _indented(value, margin: str) -> str:
+    """json.dumps(value, indent=2) as it reads nested at `margin`."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + margin)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -183,19 +192,22 @@ def _cmd_enumerate(args) -> int:
 
     found = False
     color = _color_on(sys.stdout)
-    rows = []
+    # JSON rows are written as they come, in the layout json.dumps(doc,
+    # indent=2) gives {"candidates": rows, "config": cfg}
+    if args.json:
+        sys.stdout.write('{\n  "candidates": [')
+    n = 0
     for n, (clauses, verdict) in enumerate(enumerate_hypotheses(kb.facts, task, caps, sym), 1):
         failed = None if verdict.ok else render_ground_atom(verdict.failed, sym)
         if verdict.ok:
             found = True
         if args.json:
-            rows.append(
-                {
-                    "clauses": [_clause_json(c, sym) for c in clauses],
-                    "verdict": str(verdict),
-                    "failed": failed,
-                }
-            )
+            row = {
+                "clauses": [_clause_json(c, sym) for c in clauses],
+                "verdict": str(verdict),
+                "failed": failed,
+            }
+            sys.stdout.write(("," if n > 1 else "") + "\n    " + _indented(row, "    "))
         else:
             tag = _paint("Verified", "32", color) if verdict.ok else _paint(f"Fails({failed})", "31", color)
             text = " ".join(render_clause(c.head, c.body, sym) for c in clauses)
@@ -203,7 +215,7 @@ def _cmd_enumerate(args) -> int:
         if args.limit is not None and n >= args.limit:
             break
     if args.json:
-        _print_json({"candidates": rows, "config": cfg})
+        sys.stdout.write(("\n  ]" if n else "]") + ',\n  "config": ' + _indented(cfg, "  ") + "\n}\n")
     else:
         print(_config_line(cfg))
     return 0 if found else 1

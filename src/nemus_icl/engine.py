@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .kb import Atom, Clause, GroundAtom, Var, render_clause
 from .nemus import SharedNeMuS, atom_of, beta, region_similarity
-from .oracle import verify
+from .oracle import Bk, Verdict, verify
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -264,9 +264,11 @@ def _clause_preds(clauses) -> set:
 class _Walk:
     """Search state shared across one learn() call."""
 
-    def __init__(self, nemus: SharedNeMuS, task: LearnTask, trace, include_pruned: bool):
+    def __init__(self, nemus: SharedNeMuS, task: LearnTask, trace, include_pruned: bool, bk: Bk):
         self.nemus = nemus
         self.task = task
+        self.bk = bk
+        self.verdicts: dict = {}  # (clause set, positives, negatives) -> Verdict
         self.sym = nemus.symbols
         self.trace = trace
         self.include_pruned = include_pruned
@@ -304,6 +306,15 @@ class _Walk:
             if code not in self.inv_taken:
                 self.inv_taken.add(code)
                 return code
+
+    def verdict(self, clauses, positives) -> Verdict:
+        """The oracle's verdict on the clause set against the task's
+        negatives; the walk meets many sets more than once, so it is memoised."""
+        key = (frozenset(clauses), positives, self.task.negatives)
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = verify(self.bk, clauses, positives, self.task.negatives)
+        return verdict
 
     def rewrite(self, ground_atom):
         atom, defs = apply_bias(ground_atom, self.task.biases, self.bias_emitted)
@@ -384,7 +395,7 @@ class _Walk:
 
         def record(clauses, label):
             full = tuple(dict.fromkeys(self.attach_defs(clauses)))
-            verdict = verify(self._facts(), full, (e_pos,), self.task.negatives)
+            verdict = self.verdict(full, (e_pos,))
             key = frozenset(render_clause(c.head, c.body, self.sym) for c in full)
             if verdict.ok:
                 results.setdefault(key, full)
@@ -486,8 +497,9 @@ class _Walk:
             self.task, target=inv_pred, positives=(GroundAtom(inv_pred, (state.frontier[0], y_const)),),
             negatives=(),
         )
-        sub = _Walk(self.nemus, sub_task, self.trace, self.include_pruned)
+        sub = _Walk(self.nemus, sub_task, self.trace, self.include_pruned, self.bk)
         sub.stats = self.stats  # shared counters
+        sub.verdicts = self.verdicts
         sub.rejected = self.rejected
         sub.bias_emitted = self.bias_emitted
         sub.bias_defs = self.bias_defs
@@ -503,7 +515,7 @@ class _Walk:
         """Grow connected ground witnesses and anti-unify them; complete for
         single-clause solutions within max_body.  Stops at the first verified
         set.  No momentum, no bias, no invention here."""
-        facts = self._facts()
+        facts = self.bk.facts
         head_consts = list(dict.fromkeys(e_pos.args))
         binary = len(e_pos.args) == 2
 
@@ -540,7 +552,7 @@ class _Walk:
                         terms.append(theta[c])
                     body.append(Atom(facts[i].pred, tuple(terms)))
                 clause = Clause(head, tuple(body))
-                verdict = verify(facts, (clause,), (e_pos,), self.task.negatives)
+                verdict = self.verdict((clause,), (e_pos,))
                 shown = render_clause(clause.head, clause.body, self.sym)
                 self.emit_trace(None, shown, NOT_APPLIED, "verified" if verdict.ok else "dropped", phase=2)
                 if verdict.ok:
@@ -566,15 +578,6 @@ class _Walk:
 
     # -- helpers --
 
-    def _facts(self):
-        if not hasattr(self, "_fact_cache"):
-            out = []
-            for cspace in self.nemus.C:
-                t = cspace[0].args[0]
-                out.append(atom_of(self.nemus, t.c, t.i))
-            self._fact_cache = out
-        return self._fact_cache
-
     def _mates(self, atom, hook: int) -> tuple:
         return tuple(dict.fromkeys(c for c in atom.args if c != hook))
 
@@ -589,7 +592,8 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
     Every returned clause set is oracle-verified; an unreachable target yields
     an empty result with stats rather than an error.
     """
-    walk = _Walk(nemus, task, trace, include_pruned)
+    fact_nodes = (cspace[0].args[0] for cspace in nemus.C)
+    walk = _Walk(nemus, task, trace, include_pruned, Bk(atom_of(nemus, t.c, t.i) for t in fact_nodes))
     per_example = []
     for e_pos in task.positives:
         sets = walk.learn_positive(e_pos)
@@ -600,26 +604,22 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
     nonempty = [list(r.values()) for r in per_example if r]
     hypotheses: dict = {}
     if nonempty:
-        if len(nonempty) == 1:
-            for clauses in nonempty[0]:
-                key = frozenset(render_clause(c.head, c.body, walk.sym) for c in clauses)
-                hypotheses.setdefault(key, clauses)
-        else:
-            # one choice per example, union, re-verify the merged set
-            for combo in itertools.product(*nonempty):
-                merged = []
-                for clauses in combo:
-                    for c in clauses:
-                        if c not in merged:
-                            merged.append(c)
-                merged = tuple(merged)
-                verdict = verify(walk._facts(), merged, task.positives, task.negatives)
-                if not verdict.ok:
-                    walk.stats.dropped += 1
-                    walk.rejected.append((merged, verdict.failed))
-                    continue
-                key = frozenset(render_clause(c.head, c.body, walk.sym) for c in merged)
-                hypotheses.setdefault(key, merged)
+        # one choice per example, union, re-verify the merged set against
+        # every example; with one positive the re-check is a memo hit
+        for combo in itertools.product(*nonempty):
+            merged = []
+            for clauses in combo:
+                for c in clauses:
+                    if c not in merged:
+                        merged.append(c)
+            merged = tuple(merged)
+            verdict = walk.verdict(merged, task.positives)
+            if not verdict.ok:
+                walk.stats.dropped += 1
+                walk.rejected.append((merged, verdict.failed))
+                continue
+            key = frozenset(render_clause(c.head, c.body, walk.sym) for c in merged)
+            hypotheses.setdefault(key, merged)
 
     bk_preds = {i for i, insts in enumerate(nemus.P.positive) if insts}
     creatable = {b.invented for b in task.biases}

@@ -150,6 +150,16 @@ def is_ground(atom) -> bool:
     return not any(isinstance(t, Var) for t in atom.args)
 
 
+def setting_error(name: str, value) -> Optional[str]:
+    """Why a max_body or tau value is out of range, or None when it is in
+    range; the file directives and the command-line flags both ask here."""
+    if name == "max_body" and value < 1:
+        return "max_body must be >= 1"
+    if name == "tau" and not 0.0 <= value <= 1.0:
+        return "tau must be in [0, 1]"
+    return None
+
+
 @dataclass
 class Directive:
     kind: str  # target | positive | negative | invent | max_body | tau
@@ -386,20 +396,20 @@ class _Parser:
                 sources.append(self._source_pred())
             payload = (invented, tuple(sources))
         elif kind == "max_body":
-            n = self.expect("int")
-            if n.value < 1:
-                raise ValidationError("max_body must be >= 1", n.line, n.col)
-            payload = n.value
+            v = self.expect("int")
+            payload = v.value
         elif kind == "tau":
             v = self.peek()
             if v.kind not in ("real", "int"):
                 raise ParseError(f"expected a number, found {self._show(v)}", v.line, v.col)
             self.next()
             payload = float(v.value)
-            if not 0.0 <= payload <= 1.0:
-                raise ValidationError("tau must be in [0, 1]", v.line, v.col)
         else:
             raise ParseError(f"unknown directive #{kind}", t.line, t.col)
+        if kind in ("max_body", "tau"):
+            problem = setting_error(kind, payload)
+            if problem:
+                raise ValidationError(problem, v.line, v.col)
         self.expect("punct", ".")
         return Directive(kind, payload, t.line)
 

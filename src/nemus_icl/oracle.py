@@ -4,6 +4,12 @@ brute-force hypothesis enumerator for equivalence testing.
 The language is function-free, so the least Herbrand model is the finite
 fixpoint of forward chaining.  A hypothesis set passes iff every positive
 example lands in the model of BK plus the set and no negative does.
+
+The BK is compiled once into a `Bk` (relations, a join index, the Herbrand
+base's constants and arities) and shared by every least model computed over
+it: semi-naive evaluation (Bancilhon & Ramakrishnan 1986) whose joins fetch
+each atom after the delta atom through the index, as in Souffle (Jordan et
+al., CAV 2016).
 """
 
 from __future__ import annotations
@@ -19,10 +25,47 @@ class RangeRestrictionFault(Exception):
     """A rule head variable that never occurs in the body."""
 
 
+class Bk:
+    """Background knowledge compiled once for many least-model calls.
+
+    Holds the relations (pred -> set of argument tuples), a per-predicate
+    join index ((position, constant) -> argument tuples), and the constants
+    and arities that feed the Herbrand-base bound.  The facts are never
+    written after construction: a fixpoint copies the relations it derives
+    into.  Rules are compiled on first use and kept for the next call.
+    """
+
+    def __init__(self, facts):
+        self.facts = tuple(facts)  # input order; the witness walk indexes it
+        self.relations: dict = {}
+        self.arities: dict = {}
+        for f in self.facts:
+            self.relations.setdefault(f.pred, set()).add(f.args)
+            self.arities[f.pred] = len(f.args)
+        self.index: dict = {}
+        _extend(self.relations, self.index, self.relations)  # indexes every fact
+        self.constants = frozenset(c for rows in self.relations.values() for args in rows for c in args)
+        self.atoms = frozenset(GroundAtom(p, args) for p, rows in self.relations.items() for args in rows)
+        self._rules: dict = {}  # Clause -> _Rule
+
+    def rule(self, clause: Clause) -> "_Rule":
+        """The compiled form of a rule; range restriction is checked on first use."""
+        compiled_rule = self._rules.get(clause)
+        if compiled_rule is None:
+            _check_range_restricted(clause)
+            compiled_rule = self._rules[clause] = _Rule(clause)
+        return compiled_rule
+
+
+def _compiled(bk) -> Bk:
+    """bk itself when already compiled, else the Bk of a fact iterable."""
+    return bk if isinstance(bk, Bk) else Bk(bk)
+
+
 @dataclass
 class Program:
-    facts: list  # GroundAtom
-    rules: list  # Clause; every head variable must occur in the body
+    facts: Bk | list  # or any other iterable of GroundAtom
+    rules: list  # Clause; every head variable must occur in the body; ground units are facts
 
 
 class Verdict(NamedTuple):
@@ -49,97 +92,182 @@ def _check_range_restricted(rule: Clause):
         raise RangeRestrictionFault(rule)
 
 
-def _match(atom, args, subst):
-    """Extend subst so atom's terms equal the ground args, or return None."""
-    out = subst
-    for term, value in zip(atom.args, args):
-        if isinstance(term, Var):
-            bound = out.get(term.code)
-            if bound is None:
-                if out is subst:
-                    out = dict(subst)
-                out[term.code] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return out
+class _Step(NamedTuple):
+    """One body atom of a join plan."""
+
+    pred: int
+    key: Optional[tuple]  # (position, slot) of the index lookup; None scans the relation
+    binds: tuple  # (position, slot): the first occurrence of a variable
+    tests: tuple  # (position, slot): must equal the value the slot holds
 
 
-def _eval_rule(rule: Clause, full, delta, required: int):
-    """All ground heads derivable with body atom `required` matched in delta."""
-    derived = []
+class _Rule:
+    """A rule's variables and constants numbered as slots of one environment
+    list (constants pre-bound), with its join plans made on first use."""
 
-    def walk(i: int, subst):
-        if i == len(rule.body):
-            head_args = tuple(subst[t.code] if isinstance(t, Var) else t for t in rule.head.args)
-            derived.append(GroundAtom(rule.head.pred, head_args))
-            return
-        atom = rule.body[i]
-        pool = delta if i == required else full
-        for args in pool.get(atom.pred, ()):
-            ext = _match(atom, args, subst)
-            if ext is not None:
-                walk(i + 1, ext)
+    def __init__(self, rule: Clause):
+        self.pred = rule.head.pred
+        self.body = rule.body
+        self.arities = tuple((atom.pred, len(atom.args)) for atom in (rule.head, *rule.body))
+        self.slot: dict = {}
+        self.env: list = []
+        for atom in (rule.head, *rule.body):
+            for t in atom.args:
+                if t not in self.slot:
+                    self.slot[t] = len(self.env)
+                    self.env.append(None if isinstance(t, Var) else t)
+        self.constants = frozenset(v for v in self.env if v is not None)
+        self.head = tuple(self.slot[t] for t in rule.head.args)
+        self.plans: dict = {}
 
-    walk(0, {})
-    return derived
+    def plan(self, first: int) -> tuple:
+        """Join order with body atom `first` read from the delta.  Each later
+        atom is the first remaining one with a bound argument, fetched
+        through the index on that argument; one with none scans its relation."""
+        steps = self.plans.get(first)
+        if steps is not None:
+            return steps
+        slot = self.slot
+        bound = {s for s, v in enumerate(self.env) if v is not None}
+        remaining = [j for j in range(len(self.body)) if j != first]
+        steps = []
+        atom = self.body[first]
+        while True:
+            key = None
+            if steps:
+                key = next(((pos, slot[t]) for pos, t in enumerate(atom.args) if slot[t] in bound), None)
+            binds, tests = [], []
+            for pos, t in enumerate(atom.args):
+                s = slot[t]
+                if s not in bound:
+                    binds.append((pos, s))
+                    bound.add(s)
+                elif (pos, s) != key:
+                    tests.append((pos, s))
+            steps.append(_Step(atom.pred, key, tuple(binds), tuple(tests)))
+            if not remaining:
+                break
+            j = next((j for j in remaining if any(slot[t] in bound for t in self.body[j].args)), remaining[0])
+            remaining.remove(j)
+            atom = self.body[j]
+        steps = self.plans[first] = tuple(steps)
+        return steps
+
+
+_NO_INDEX: dict = {}
+
+
+def _join(steps, k: int, rows, env: list, relations, index, head, out: set):
+    """Add to `out` the head of every match of steps[k:], step k drawing its
+    argument tuples from `rows`."""
+    step = steps[k]
+    nxt = steps[k + 1] if k + 1 < len(steps) else None
+    for args in rows:
+        for pos, s in step.binds:
+            env[s] = args[pos]
+        for pos, s in step.tests:
+            if args[pos] != env[s]:
+                break
+        else:
+            if nxt is None:
+                out.add(tuple([env[s] for s in head]))
+            elif nxt.key is None:
+                _join(steps, k + 1, relations.get(nxt.pred, ()), env, relations, index, head, out)
+            else:
+                pos, s = nxt.key
+                found = index.get(nxt.pred, _NO_INDEX).get((pos, env[s]), ())
+                _join(steps, k + 1, found, env, relations, index, head, out)
+
+
+def _extend(relations, index, fresh: dict):
+    """Add the fresh argument tuples to the relations and the index."""
+    for p, rows in fresh.items():
+        relations[p] |= rows
+        entries = index.setdefault(p, {})
+        for args in rows:
+            for key in enumerate(args):
+                entries.setdefault(key, []).append(args)
 
 
 def least_model(prog: Program) -> frozenset:
-    """Least fixpoint of the immediate-consequence step, semi-naive (delta-driven)."""
-    for rule in prog.rules:
-        _check_range_restricted(rule)
-
-    full: dict = {}
-    for f in prog.facts:
-        full.setdefault(f.pred, set()).add(f.args)
+    """Least fixpoint of the immediate-consequence step, semi-naive
+    (delta-driven) over the compiled BK with indexed joins."""
+    bk = _compiled(prog.facts)
+    rules, units = [], []
+    for clause in prog.rules:
+        if clause.body:
+            rules.append(bk.rule(clause))
+        else:
+            _check_range_restricted(clause)
+            units.append(clause.head)
 
     # finite Herbrand base bounds the rounds; the cap is a tripwire, not a knob
-    constants = {c for f in prog.facts for c in f.args}
-    for rule in prog.rules:
-        for atom in [rule.head] + list(rule.body):
-            constants.update(t for t in atom.args if not isinstance(t, Var))
-    arities = {}
-    for f in prog.facts:
-        arities[f.pred] = len(f.args)
-    for rule in prog.rules:
-        for atom in [rule.head] + list(rule.body):
-            arities[atom.pred] = len(atom.args)
-    hb_size = sum(max(1, len(constants)) ** a for a in arities.values())
+    arities = dict(bk.arities)
+    constants = set()
+    for atom in units:
+        arities[atom.pred] = len(atom.args)
+        constants.update(atom.args)
+    for rule in rules:
+        arities.update(rule.arities)
+        constants |= rule.constants
+    n_constants = len(bk.constants) + len(constants - bk.constants)
+    hb_size = sum(max(1, n_constants) ** a for a in arities.values())
 
-    delta = {p: set(xs) for p, xs in full.items()}
+    # copy-on-write: only the predicates the hypothesis derives get their own
+    # relation and index; every other one is the BK's, shared and never written
+    relations = dict(bk.relations)
+    index = dict(bk.index)
+    derived_preds = {rule.pred for rule in rules} | {atom.pred for atom in units}
+    for p in derived_preds:
+        relations[p] = set(bk.relations.get(p, ()))
+        index[p] = {key: list(rows) for key, rows in bk.index.get(p, _NO_INDEX).items()}
+    delta: dict = {}
+    for atom in units:
+        if atom.args not in relations[atom.pred]:
+            delta.setdefault(atom.pred, set()).add(atom.args)
+    _extend(relations, index, delta)
+
+    delta = None  # the first round applies every rule to the whole model
     rounds = 0
-    while delta:
+    while True:
         rounds += 1
         if rounds > hb_size + 1:
             raise RuntimeError("fixpoint exceeded the Herbrand-base bound")
-        fresh: dict = {}
-        for rule in prog.rules:
-            for i in range(len(rule.body)):
-                for atom in _eval_rule(rule, full, delta, i):
-                    if atom.args not in full.get(atom.pred, ()) and atom.args not in fresh.get(atom.pred, set()):
-                        fresh.setdefault(atom.pred, set()).add(atom.args)
-        for p, xs in fresh.items():
-            full.setdefault(p, set()).update(xs)
-        delta = fresh
+        derived: dict = {}
+        for rule in rules:
+            out = derived.setdefault(rule.pred, set())
+            env = list(rule.env)
+            for i, atom in enumerate(rule.body):
+                if delta is None:
+                    if i:
+                        break
+                    rows = relations.get(atom.pred, ())
+                else:
+                    rows = delta.get(atom.pred)
+                    if not rows:
+                        continue
+                _join(rule.plan(i), 0, rows, env, relations, index, rule.head, out)
+        delta = {}
+        for p, rows in derived.items():
+            rows -= relations[p]
+            if rows:
+                delta[p] = rows
+        if not delta:
+            break
+        _extend(relations, index, delta)
 
-    return frozenset(GroundAtom(p, args) for p, xs in full.items() for args in xs)
+    return bk.atoms.union(GroundAtom(p, args) for p in derived_preds for args in relations[p])
 
 
 def verify(bk, hypothesis, positives, negatives) -> Verdict:
     """Verified iff every positive is in least_model(bk + hypothesis) and no
-    negative is.  Ground unit clauses in the hypothesis count as facts."""
-    facts = list(bk)
-    rules = []
-    for clause in hypothesis:
-        if clause.body:
-            rules.append(clause)
-        elif is_ground(clause.head):
-            facts.append(GroundAtom(clause.head.pred, clause.head.args))
-        else:
+    negative is.  bk is a compiled Bk or an iterable of facts; ground unit
+    clauses in the hypothesis count as facts."""
+    clauses = list(hypothesis)
+    for clause in clauses:
+        if not clause.body and not is_ground(clause.head):
             raise RangeRestrictionFault(clause)
-    model = least_model(Program(facts, rules))
+    model = least_model(Program(bk, clauses))
     for e in positives:
         if e not in model:
             return Verdict(False, e)
@@ -219,14 +347,15 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
     if budget <= 0:
         return
 
-    fact_preds = sorted({f.pred for f in bk})
+    bk = _compiled(bk)
+    fact_preds = sorted(bk.relations)
     body_preds = list(fact_preds)
     for bias in task.biases:
         if bias.invented not in body_preds:
             body_preds.append(bias.invented)
     # a target atom in a body is satisfiable only with target facts around or
     # a second clause to bottom the recursion out
-    if task.target not in body_preds and (task.target in {f.pred for f in bk} or budget >= 2):
+    if task.target not in body_preds and (task.target in bk.relations or budget >= 2):
         body_preds.append(task.target)
     preds_with_arity = [(p, symbols.predicate_sig(p)[1]) for p in body_preds]
 

@@ -199,3 +199,38 @@ def test_bridge_invention_via_cli(tmp_path):
     assert doc["invented"] == ["inv_0/2"]
     heads = {c["head"] for h in doc["hypotheses"] for c in h["clauses"]}
     assert "inv_0(X,Y)" in heads
+
+
+@pytest.mark.parametrize("flag, directive", [
+    (["--max-body", "0"], "#max_body 0."),
+    (["--max-body", "-3"], "#max_body -3."),
+    (["--tau", "nan"], "#tau nan."),
+    (["--tau", "7"], "#tau 7."),
+])
+def test_out_of_range_settings_exit_2_as_flag_and_directive(tmp_path, flag, directive):
+    plain = tmp_path / "plain.kb"
+    plain.write_text("q(a, b).\n#target t/2.\n#positive t(a, b).\n")
+    proc = run_cli("learn", str(plain), *flag)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("nemus-icl: error: ")
+    with_directive = tmp_path / "directive.kb"
+    with_directive.write_text(plain.read_text() + directive + "\n")
+    proc = run_cli("learn", str(with_directive))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("nemus-icl: error: ")
+
+
+@pytest.mark.parametrize("kb_text, flags", [
+    pytest.param(FAMILY, ["--max-clauses", "4", "--max-vars", "3", "--limit", "40"], id="family"),
+    pytest.param(COLLISION, ["--max-clauses", "2", "--max-vars", "3", "--max-body", "2", "--limit", "40"],
+                 id="collision"),
+    pytest.param(FAMILY, [], id="no-candidates"),  # the bias prelude spends the cap
+])
+def test_enumerate_json_streams_the_buffered_layout(tmp_path, kb_text, flags):
+    p = tmp_path / "kb.kb"
+    p.write_text(kb_text)
+    streamed = run_cli("enumerate", str(p), "--json", *flags).stdout
+    doc = json.loads(streamed)
+    assert streamed == json.dumps(doc, indent=2) + "\n"
+    assert bool(doc["candidates"]) == bool(flags)

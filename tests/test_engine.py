@@ -301,6 +301,33 @@ def test_learn_two_positives_merge():
         assert verify(kb.facts, clauses, kb.task.positives, kb.task.negatives).ok
 
 
+def test_learn_one_covered_positive_is_rechecked_against_all():
+    """Only the first positive yields sets; they cannot cover the second, so
+    nothing is emitted and the dropped set names the uncovered positive."""
+    kb = parse_kb(
+        "father(jake, alice).\n#target parent/2.\n"
+        "#positive parent(jake, alice).\n#positive parent(zed, zoe).\n#max_body 2.\n"
+    )
+    result = learn(compile_kb(kb), kb.task)
+    assert result.hypotheses == ()
+    assert result.rejected[-1][1] == kb.task.positives[1]
+
+
+def test_learn_calls_share_no_verdicts():
+    """Two KBs with the same codes where t(X,Y) :- e(X,Y) derives the
+    negative only in the first: each learn sees its own BK's verdicts."""
+    derives_negative = parse_kb(
+        "e(a, b).\ne(b, b).\n#target t/2.\n#positive t(a, b).\n#negative t(b, b).\n"
+    )
+    clean = parse_kb(
+        "e(a, b).\ne(a, a).\n#target t/2.\n#positive t(a, b).\n#negative t(b, b).\n"
+    )
+    shown = lambda kb: [render_set(h, kb.symbols) for h in learn(compile_kb(kb), kb.task).hypotheses]
+    for _ in range(2):
+        assert {"t(X,Y) :- e(X,Y)."} not in shown(derives_negative)
+        assert {"t(X,Y) :- e(X,Y)."} in shown(clean)
+
+
 def test_learn_momentum_overprune_recovered_by_witness_pass():
     """Same-predicate same-position collision prunes the only narrow route;
     the exhaustive pass still finds the sound specific clause."""

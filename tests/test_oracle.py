@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from conftest import COLLISION, FAMILY, FAMILY_SOLUTION, render_set
 from nemus_icl import (
     Atom,
+    Bk,
     Clause,
     EnumCaps,
     GroundAtom,
     Program,
     RangeRestrictionFault,
     Var,
+    Verdict,
     enumerate_hypotheses,
     least_model,
     parse_hypothesis,
@@ -126,6 +128,86 @@ def test_model_monotone_in_facts(data):
     small = least_model(Program(base, rules))
     big = least_model(Program(base + extra, rules))
     assert small <= big
+
+
+# --- the compiled evaluator against a naive fixpoint ---------------------------
+
+ARITY = {0: 2, 1: 2, 2: 1, 3: 2}  # predicate code -> arity
+CONSTANTS = st.integers(0, 3)
+TERMS = st.one_of(st.builds(Var, st.integers(0, 2)), CONSTANTS)
+
+
+def _atoms(terms):
+    return st.sampled_from(sorted(ARITY)).flatmap(
+        lambda p: st.tuples(*[terms] * ARITY[p]).map(lambda args: Atom(p, args))
+    )
+
+
+GROUND = _atoms(CONSTANTS).map(lambda a: GroundAtom(a.pred, a.args))
+
+
+@st.composite
+def _rule(draw):
+    """Variables may repeat in one atom, bodies may hold constants, and the
+    head predicate may also have facts or occur in the body (recursion)."""
+    body = tuple(draw(st.lists(_atoms(TERMS), min_size=1, max_size=3)))
+    head_pred = draw(st.sampled_from(sorted(ARITY)) | st.sampled_from([atom.pred for atom in body]))
+    bound = st.one_of(st.sampled_from([t for atom in body for t in atom.args]), CONSTANTS)
+    return Clause(Atom(head_pred, tuple(draw(bound) for _ in range(ARITY[head_pred]))), body)
+
+
+UNIT = GROUND.map(lambda g: Clause(Atom(g.pred, g.args), ()))
+
+
+def _naive_model(facts, clauses) -> frozenset:
+    """Every rule over the whole model each round: no index, no delta."""
+
+    def match(atom, args, subst):
+        out = dict(subst)
+        for term, value in zip(atom.args, args):
+            if not isinstance(term, Var):
+                if term != value:
+                    return None
+            elif out.setdefault(term.code, value) != value:
+                return None
+        return out
+
+    model = set(facts) | {GroundAtom(c.head.pred, c.head.args) for c in clauses if not c.body}
+    while True:
+        new = set()
+        for rule in (c for c in clauses if c.body):
+            substs = [{}]
+            for atom in rule.body:
+                substs = [ext for s in substs for f in model if f.pred == atom.pred
+                          for ext in [match(atom, f.args, s)] if ext is not None]
+            for s in substs:
+                args = tuple(s[t.code] if isinstance(t, Var) else t for t in rule.head.args)
+                new.add(GroundAtom(rule.head.pred, args))
+        if new <= model:
+            return frozenset(model)
+        model |= new
+
+
+@given(
+    st.lists(GROUND, max_size=10),
+    st.lists(st.one_of(_rule(), UNIT), min_size=1, max_size=4),
+    st.lists(GROUND, max_size=3),
+    st.lists(GROUND, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_compiled_model_and_verdict_match_naive_fixpoint(facts, clauses, positives, negatives):
+    expected = _naive_model(facts, clauses)
+    bk = Bk(facts)
+    # twice over one Bk: a fixpoint must leave the compiled BK as it found it
+    assert least_model(Program(bk, clauses)) == expected
+    assert least_model(Program(bk, clauses)) == expected
+    assert least_model(Program(facts, clauses)) == expected
+    assert bk.relations == Bk(facts).relations and bk.index == Bk(facts).index
+
+    failed = [e for e in positives if e not in expected] + [e for e in negatives if e in expected]
+    want = Verdict(False, failed[0]) if failed else Verdict(True, None)
+    assert verify(bk, clauses, positives, negatives) == want
+    assert verify(facts, clauses, positives, negatives) == want
 
 
 def test_model_minimality_spot_check():
