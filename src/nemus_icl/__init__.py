@@ -66,6 +66,7 @@ from .oracle import (
     Program,
     RangeRestrictionFault,
     Verdict,
+    clause_key,
     enumerate_hypotheses,
     least_model,
     verify,
@@ -81,7 +82,7 @@ __all__ = [
     "SharedNeMuS", "Stats", "SymbolTable", "TNode", "UnknownCode",
     "UnknownInstance", "ValidationError", "Var",
     "Verdict", "anti_unify", "apply_bias", "atom_of", "attribute_mates",
-    "beta", "compile_kb", "dump", "enumerate_hypotheses",
+    "beta", "clause_key", "compile_kb", "dump", "enumerate_hypotheses",
     "inductive_momentum", "invent_auto", "iota", "learn", "least_model",
     "parse_hypothesis", "parse_kb", "region_similarity", "render_clause",
     "render_ground_atom", "render_kb", "rho", "try_recursion", "verify",

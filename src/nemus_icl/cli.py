@@ -8,6 +8,7 @@ verification fails, 2 = input errors (located message on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,16 +53,24 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _flag(args, name: str):
+    """The flag's value, or None when it is not given; an out-of-range value
+    is an input error, checked as the file directives are."""
+    value = getattr(args, name, None)
+    if value is not None:
+        problem = setting_error(name, value)
+        if problem:
+            raise KbError(f"--{name.replace('_', '-')} {value}: {problem}")
+    return value
+
+
 def _effective_task(kb, args) -> LearnTask:
     task = kb.task
     if task is None:
         raise KbError("the KB file declares no learning task (missing target directive)")
     for name in ("max_body", "tau"):
-        value = getattr(args, name, None)
+        value = _flag(args, name)
         if value is not None:
-            problem = setting_error(name, value)
-            if problem:
-                raise KbError(f"--{name.replace('_', '-')} {value}: {problem}")
             task = replace(task, **{name: value})
     return task
 
@@ -97,6 +106,30 @@ def _indented(value, margin: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + margin)
 
 
+def _json_list(items, margin: str) -> str:
+    """json.dumps(values, indent=2) as it reads nested at `margin`, from the
+    values already dumped at the margin two spaces deeper."""
+    if not items:
+        return "[]"
+    return "[" + ",".join(f"\n{margin}  {item}" for item in items) + f"\n{margin}]"
+
+
+def _clause_fragments(symbols):
+    """A per-command memo: Clause -> its JSON object as it reads in
+    hypotheses[i].clauses (learn) and candidates[i].clauses (enumerate), both
+    at an 8-space margin.  The kb renderer is looked up by its global name on
+    a miss."""
+    return functools.cache(lambda c: _indented(_clause_json(c, symbols), " " * 8))
+
+
+def _clauses_row(n: int, clauses, fragment) -> str:
+    """The opening of row n (from 1) of the top-level list in the JSON
+    document, up to its "clauses" value; the caller writes the rest of the
+    row and its closing brace."""
+    return (("," if n > 1 else "") + '\n    {\n      "clauses": '
+            + _json_list([fragment(c) for c in clauses], "      "))
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -114,21 +147,23 @@ def _cmd_learn(args) -> int:
     cfg = _config_dict("learn", args.kb, kb, task, args)
 
     if args.json:
-        doc = {
-            "hypotheses": [
-                {"clauses": [_clause_json(c, sym) for c in clauses]}
-                for clauses in result.hypotheses
-            ],
-            "invented": [sym.render_sig(p) for p in result.invented],
-            "stats": {
-                "candidates": result.stats.candidates,
-                "pruned": result.stats.pruned,
-                "dropped": result.stats.dropped,
-                "frontier_peak": result.stats.frontier_peak,
-            },
-            "config": cfg,
+        # written one hypothesis at a time, in the layout json.dumps(doc,
+        # indent=2) gives {"hypotheses": ..., "invented": ..., "stats": ...,
+        # "config": cfg}
+        fragment = _clause_fragments(sym)
+        sys.stdout.write('{\n  "hypotheses": [')
+        for n, clauses in enumerate(result.hypotheses, 1):
+            sys.stdout.write(_clauses_row(n, clauses, fragment) + "\n    }")
+        stats = {
+            "candidates": result.stats.candidates,
+            "pruned": result.stats.pruned,
+            "dropped": result.stats.dropped,
+            "frontier_peak": result.stats.frontier_peak,
         }
-        _print_json(doc)
+        sys.stdout.write(("\n  ]" if result.hypotheses else "]")
+                         + ',\n  "invented": ' + _indented([sym.render_sig(p) for p in result.invented], "  ")
+                         + ',\n  "stats": ' + _indented(stats, "  ")
+                         + ',\n  "config": ' + _indented(cfg, "  ") + "\n}\n")
     else:
         color = _color_on(sys.stdout)
         if result.hypotheses:
@@ -179,40 +214,43 @@ def _cmd_enumerate(args) -> int:
     kb = parse_kb(_read(args.kb))
     task = _effective_task(kb, args)
     caps = EnumCaps(
-        max_body=args.max_body if args.max_body is not None else task.max_body,
-        max_clauses=args.max_clauses,
-        max_vars=args.max_vars,
+        max_body=task.max_body,
+        max_clauses=_flag(args, "max_clauses"),
+        max_vars=_flag(args, "max_vars"),
     )
+    limit = _flag(args, "limit")
     sym = kb.symbols
     cfg = _config_dict("enumerate", args.kb, kb, task, args)
     cfg["max_body"] = caps.max_body
     cfg["max_clauses"] = caps.max_clauses
     cfg["max_vars"] = caps.max_vars
-    cfg["limit"] = args.limit
+    cfg["limit"] = limit
 
     found = False
     color = _color_on(sys.stdout)
+    failed_text = functools.cache(lambda atom: render_ground_atom(atom, sym))
+    # per-command memos: a clause recurs in many candidate sets
+    if args.json:
+        fragment = _clause_fragments(sym)
+    else:
+        text = functools.cache(lambda c: render_clause(c.head, c.body, sym))
     # JSON rows are written as they come, in the layout json.dumps(doc,
     # indent=2) gives {"candidates": rows, "config": cfg}
     if args.json:
         sys.stdout.write('{\n  "candidates": [')
     n = 0
     for n, (clauses, verdict) in enumerate(enumerate_hypotheses(kb.facts, task, caps, sym), 1):
-        failed = None if verdict.ok else render_ground_atom(verdict.failed, sym)
+        failed = None if verdict.ok else failed_text(verdict.failed)
         if verdict.ok:
             found = True
         if args.json:
-            row = {
-                "clauses": [_clause_json(c, sym) for c in clauses],
-                "verdict": str(verdict),
-                "failed": failed,
-            }
-            sys.stdout.write(("," if n > 1 else "") + "\n    " + _indented(row, "    "))
+            sys.stdout.write(_clauses_row(n, clauses, fragment)
+                             + ',\n      "verdict": ' + json.dumps(str(verdict))
+                             + ',\n      "failed": ' + json.dumps(failed) + "\n    }")
         else:
             tag = _paint("Verified", "32", color) if verdict.ok else _paint(f"Fails({failed})", "31", color)
-            text = " ".join(render_clause(c.head, c.body, sym) for c in clauses)
-            print(f"{tag}  {text}")
-        if args.limit is not None and n >= args.limit:
+            print(f"{tag}  " + " ".join(text(c) for c in clauses))
+        if limit is not None and n >= limit:
             break
     if args.json:
         sys.stdout.write(("\n  ]" if n else "]") + ',\n  "config": ' + _indented(cfg, "  ") + "\n}\n")

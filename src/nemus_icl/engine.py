@@ -25,9 +25,9 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
-from .kb import Atom, Clause, GroundAtom, Var, render_clause
+from .kb import Atom, Clause, GroundAtom, Var, render_clause, render_ground_atom
 from .nemus import SharedNeMuS, atom_of, beta, region_similarity
-from .oracle import Bk, Verdict, verify
+from .oracle import Bk, Verdict, clause_key, verify
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -269,6 +269,7 @@ class _Walk:
         self.task = task
         self.bk = bk
         self.verdicts: dict = {}  # (clause set, positives, negatives) -> Verdict
+        self.keys: dict = {}  # Clause -> clause_key
         self.sym = nemus.symbols
         self.trace = trace
         self.include_pruned = include_pruned
@@ -288,7 +289,13 @@ class _Walk:
     # -- plumbing --
 
     def emit_trace(self, frontier, candidate, imu, action, phase=1):
+        """Send one record to the trace; the candidate (a GroundAtom, a Clause
+        or a label) is rendered only when there is a trace to read it."""
         if self.trace is not None:
+            if isinstance(candidate, GroundAtom):
+                candidate = render_ground_atom(candidate, self.sym)
+            elif isinstance(candidate, Clause):
+                candidate = render_clause(candidate.head, candidate.body, self.sym)
             rec = {
                 "phase": phase,
                 "frontier": None if frontier is None else self.sym.constant_name(frontier),
@@ -315,6 +322,16 @@ class _Walk:
         if verdict is None:
             verdict = self.verdicts[key] = verify(self.bk, clauses, positives, self.task.negatives)
         return verdict
+
+    def set_key(self, clauses) -> frozenset:
+        """The clause set up to variable renaming of each clause: equal
+        exactly when the rendered clause sets are equal.  Verified sets
+        repeat their clauses, so each clause's key is memoised."""
+        keys = self.keys
+        for c in clauses:
+            if c not in keys:
+                keys[c] = clause_key(c)
+        return frozenset([keys[c] for c in clauses])
 
     def rewrite(self, ground_atom):
         atom, defs = apply_bias(ground_atom, self.task.biases, self.bias_emitted)
@@ -364,7 +381,7 @@ class _Walk:
 
     def learn_positive(self, e_pos: GroundAtom, allow_invention=True):
         """Narrow walk for one positive example; returns ordered verified sets."""
-        results: dict = {}  # rendered frozenset -> clause tuple
+        results: dict = {}  # set_key -> clause tuple
 
         theta = AntiSubstitution()
         head_terms = []
@@ -393,16 +410,15 @@ class _Walk:
             fresh=len(theta),
         )
 
-        def record(clauses, label):
+        def record(clauses, shown: Clause):
             full = tuple(dict.fromkeys(self.attach_defs(clauses)))
             verdict = self.verdict(full, (e_pos,))
-            key = frozenset(render_clause(c.head, c.body, self.sym) for c in full)
             if verdict.ok:
-                results.setdefault(key, full)
+                results.setdefault(self.set_key(full), full)
             else:
                 self.stats.dropped += 1
                 self.rejected.append((full, verdict.failed))
-            self.emit_trace(None, label, NOT_APPLIED, "verified" if verdict.ok else "dropped")
+            self.emit_trace(None, shown, NOT_APPLIED, "verified" if verdict.ok else "dropped")
 
         queue = deque([root])
         while queue:
@@ -415,15 +431,14 @@ class _Walk:
                 for binding in beta(self.nemus, hook):
                     cand = atom_of(self.nemus, binding.target.c, binding.target.i)
                     self.stats.candidates += 1
-                    shown = self._show_ground(cand)
                     if cand in state.used:
-                        self.emit_trace(hook, shown, NOT_APPLIED, "duplicate")
+                        self.emit_trace(hook, cand, NOT_APPLIED, "duplicate")
                         continue
                     verdict = self.momentum_verdict(cand, hook, state, head_consts)
                     if verdict == INCONSISTENT:
                         self.stats.pruned += 1
                         if not self.include_pruned:
-                            self.emit_trace(hook, shown, verdict, "prune")
+                            self.emit_trace(hook, cand, verdict, "prune")
                             continue
                     rewritten = self.rewrite(cand)
                     gen, theta2, fresh2 = anti_unify(rewritten, state.theta_inv, state.fresh)
@@ -443,20 +458,21 @@ class _Walk:
 
                     if closes:
                         emitted_here = True
-                        self.emit_trace(hook, shown, verdict, "close")
-                        record((Clause(head, state.body + (gen,)),), render_clause(head, state.body + (gen,), self.sym))
+                        self.emit_trace(hook, cand, verdict, "close")
+                        clause = Clause(head, state.body + (gen,))
+                        record((clause,), clause)
                     if recursion is not None:
                         emitted_here = True
-                        self.emit_trace(hook, shown, verdict, "recurse")
-                        record(recursion, render_clause(recursion[1].head, recursion[1].body, self.sym))
+                        self.emit_trace(hook, cand, verdict, "recurse")
+                        record(recursion, recursion[1])
                     if closes or recursion is not None:
                         continue
 
                     mates = self._mates(rewritten, hook)
                     if len(state.body) + 1 >= self.task.max_body or not mates:
-                        self.emit_trace(hook, shown, verdict, "dead-end")
+                        self.emit_trace(hook, cand, verdict, "dead-end")
                         continue
-                    self.emit_trace(hook, shown, verdict, "extend")
+                    self.emit_trace(hook, cand, verdict, "extend")
                     extensions.append(
                         replace(
                             state,
@@ -471,7 +487,8 @@ class _Walk:
 
             if not binary and not emitted_here and not extensions and state.body:
                 # frontier exhausted: a monadic chain closes as-is
-                record((Clause(head, state.body),), render_clause(head, state.body, self.sym))
+                clause = Clause(head, state.body)
+                record((clause,), clause)
                 emitted_here = True
 
             if (
@@ -507,7 +524,7 @@ class _Walk:
         sub_sets = sub.learn_positive(sub_task.positives[0], allow_invention=False)
         main = Clause(head, closed.body)
         for sub_clauses in sub_sets.values():
-            record((main,) + tuple(sub_clauses), render_clause(main.head, main.body, self.sym))
+            record((main,) + tuple(sub_clauses), main)
 
     # -- phase 2: exhaustive connected-witness fallback --
 
@@ -553,11 +570,9 @@ class _Walk:
                     body.append(Atom(facts[i].pred, tuple(terms)))
                 clause = Clause(head, tuple(body))
                 verdict = self.verdict((clause,), (e_pos,))
-                shown = render_clause(clause.head, clause.body, self.sym)
-                self.emit_trace(None, shown, NOT_APPLIED, "verified" if verdict.ok else "dropped", phase=2)
+                self.emit_trace(None, clause, NOT_APPLIED, "verified" if verdict.ok else "dropped", phase=2)
                 if verdict.ok:
-                    key = frozenset({shown})
-                    return {key: (clause,)}
+                    return {self.set_key((clause,)): (clause,)}
                 self.stats.dropped += 1
                 self.rejected.append(((clause,), verdict.failed))
 
@@ -580,10 +595,6 @@ class _Walk:
 
     def _mates(self, atom, hook: int) -> tuple:
         return tuple(dict.fromkeys(c for c in atom.args if c != hook))
-
-    def _show_ground(self, atom) -> str:
-        name, _ = self.sym.predicate_sig(atom.pred)
-        return f"{name}({','.join(self.sym.constant_name(c) for c in atom.args)})"
 
 
 def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bool = False) -> LearnResult:
@@ -618,8 +629,7 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
                 walk.stats.dropped += 1
                 walk.rejected.append((merged, verdict.failed))
                 continue
-            key = frozenset(render_clause(c.head, c.body, walk.sym) for c in merged)
-            hypotheses.setdefault(key, merged)
+            hypotheses.setdefault(walk.set_key(merged), merged)
 
     bk_preds = {i for i, insts in enumerate(nemus.P.positive) if insts}
     creatable = {b.invented for b in task.biases}

@@ -151,10 +151,10 @@ def is_ground(atom) -> bool:
 
 
 def setting_error(name: str, value) -> Optional[str]:
-    """Why a max_body or tau value is out of range, or None when it is in
-    range; the file directives and the command-line flags both ask here."""
-    if name == "max_body" and value < 1:
-        return "max_body must be >= 1"
+    """Why a setting's value is out of range, or None when it is in range;
+    the file directives and the command-line flags both ask here."""
+    if name in ("max_body", "max_clauses", "max_vars", "limit") and value < 1:
+        return f"{name} must be >= 1"
     if name == "tau" and not 0.0 <= value <= 1.0:
         return "tau must be in [0, 1]"
     return None

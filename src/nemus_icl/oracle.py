@@ -303,6 +303,13 @@ def _normalize(atoms) -> tuple:
     return tuple(shape)
 
 
+def clause_key(clause: Clause) -> tuple:
+    """The clause up to variable renaming.  Two clauses get the same key
+    exactly when they are alphabetic variants (Plotkin 1970), which is
+    exactly when render_clause gives them the same text."""
+    return _normalize((clause.head, *clause.body))
+
+
 def _connected(head, body) -> bool:
     """Every body atom reachable from the head through shared variables."""
     remaining = list(body)

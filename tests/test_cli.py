@@ -3,10 +3,21 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION
+from corpus import random_kb
+from nemus_icl.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# two positives, of which only the first is derivable: no hypothesis survives the merge
+MERGE_FAULT = (
+    "father(jake, alice).\n#target parent/2.\n"
+    "#positive parent(jake, alice).\n#positive parent(zed, zoe).\n#max_body 2.\n"
+)
 
 
 def run_cli(*argv, env_extra=None):
@@ -234,3 +245,49 @@ def test_enumerate_json_streams_the_buffered_layout(tmp_path, kb_text, flags):
     doc = json.loads(streamed)
     assert streamed == json.dumps(doc, indent=2) + "\n"
     assert bool(doc["candidates"]) == bool(flags)
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--limit", "0", "limit"),
+    ("--limit", "-2", "limit"),
+    ("--max-clauses", "0", "max_clauses"),
+    ("--max-clauses", "-1", "max_clauses"),
+    ("--max-vars", "0", "max_vars"),
+    ("--max-vars", "-1", "max_vars"),
+])
+def test_enumerate_counts_below_one_exit_2(collision_path, flag, value, name):
+    proc = run_cli("enumerate", collision_path, "--max-vars", "3", "--max-body", "2", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"nemus-icl: error: {flag} {value}: {name} must be >= 1\n"
+
+
+@pytest.mark.parametrize("kb_text", [
+    pytest.param(FAMILY, id="family"),
+    pytest.param(COLLISION, id="collision"),
+    pytest.param(BRIDGE, id="bridge"),  # invention: "invented" is not empty
+    pytest.param("q(a, b).\n#target t/2.\n#positive t(c, d).\n", id="no-hypothesis"),
+    pytest.param(MERGE_FAULT, id="merge-fault"),
+    *[pytest.param(random_kb(seed), id=f"corpus-{seed}") for seed in range(0, 500, 20)],
+])
+def test_learn_json_is_written_in_the_json_dumps_layout(tmp_path, capsys, kb_text):
+    p = tmp_path / "kb.kb"
+    p.write_text(kb_text)
+    rc = main(["learn", str(p), "--json"])
+    written = capsys.readouterr().out
+    doc = json.loads(written)
+    assert written == json.dumps(doc, indent=2) + "\n"
+    assert rc == (0 if doc["hypotheses"] else 1)
+
+
+@pytest.mark.parametrize("name, kb_text", [
+    ("family", FAMILY),
+    ("collision", COLLISION),
+    ("bridge", BRIDGE),
+])
+def test_trace_stream_matches_golden(tmp_path, name, kb_text):
+    p = tmp_path / f"{name}.kb"
+    p.write_text(kb_text)
+    proc = run_cli("learn", str(p), "--trace")
+    assert proc.returncode == 0
+    assert proc.stderr == (GOLDEN / f"{name}.trace.jsonl").read_text()

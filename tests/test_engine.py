@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, render_set
 from corpus import random_kb
+from nemus_icl import engine
 from nemus_icl import (
     AntiSubstitution,
     Atom,
@@ -392,3 +393,32 @@ def test_learn_emissions_are_verified_connected_clauses(seed):
                         reached |= vs
                         moved = True
             assert body_vars <= reached
+
+
+def test_untraced_learn_renders_nothing(monkeypatch):
+    """Trace labels are rendered only for a trace; dedup keys are structural."""
+    calls = []
+    for name in ("render_clause", "render_ground_atom"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, real=real: calls.append(args) or real(*args))
+    kb = parse_kb(COLLISION)
+    result = learn(compile_kb(kb), kb.task)
+    assert result.hypotheses
+    assert calls == []
+    learn(compile_kb(kb), kb.task, trace=lambda rec: None)
+    assert calls  # the patched names are the ones a traced walk renders through
+
+
+@pytest.mark.parametrize("kb_text", [
+    pytest.param(BRIDGE, id="bridge"),
+    *[pytest.param(random_kb(seed), id=f"corpus-{seed}") for seed in range(0, 500, 10)],
+])
+def test_structural_set_keys_merge_as_rendered_text(monkeypatch, kb_text):
+    """The walk's clause-set keys, per-walk key memo included, merge exactly
+    the sets whose rendered clause sets are equal."""
+    kb = parse_kb(kb_text)
+    structural = learn(compile_kb(kb), kb.task).hypotheses
+    monkeypatch.setattr(engine._Walk, "set_key", lambda self, clauses: frozenset(
+        render_clause(c.head, c.body, self.sym) for c in clauses))
+    kb = parse_kb(kb_text)
+    assert learn(compile_kb(kb), kb.task).hypotheses == structural

@@ -16,7 +16,9 @@ from nemus_icl import (
     Program,
     RangeRestrictionFault,
     Var,
+    SymbolTable,
     Verdict,
+    clause_key,
     enumerate_hypotheses,
     least_model,
     parse_hypothesis,
@@ -306,3 +308,54 @@ def test_enumerate_deterministic_stream():
         )
     ]
     assert take(kb1) == take(kb2)
+
+
+# --- the canonical clause key ----------------------------------------------------
+
+KEY_SYMBOLS = SymbolTable()
+KEY_ARITY = {KEY_SYMBOLS.intern_predicate(name, arity): arity
+             for name, arity in (("p", 1), ("p", 2), ("q", 2), ("r", 0))}
+for _name in ("a", "b", "c"):
+    KEY_SYMBOLS.intern_constant(_name)
+KEY_TERMS = st.one_of(st.builds(Var, st.integers(0, 5)), st.integers(0, 2))
+
+
+def _key_atom(terms):
+    return st.sampled_from(sorted(KEY_ARITY)).flatmap(
+        lambda p: st.tuples(*[terms] * KEY_ARITY[p]).map(lambda args: Atom(p, args))
+    )
+
+
+KEY_CLAUSE = st.builds(Clause, _key_atom(KEY_TERMS), st.lists(_key_atom(KEY_TERMS), max_size=3).map(tuple))
+
+
+def _renamed(clause, codes):
+    """The clause with variable i renamed to Var(codes[i])."""
+    def atom(a):
+        return Atom(a.pred, tuple(Var(codes[t.code]) if isinstance(t, Var) else t for t in a.args))
+    return Clause(atom(clause.head), tuple(atom(b) for b in clause.body))
+
+
+def _shown(clause):
+    return render_clause(clause.head, clause.body, KEY_SYMBOLS)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_clause_key_equal_exactly_when_rendered_text_equal(data):
+    """Shared and repeated variables, constants, same-name predicates of two
+    arities; renamed copies, renamed copies with one term changed, and
+    unrelated clauses."""
+    a = data.draw(KEY_CLAUSE)
+    renamed = _renamed(a, data.draw(st.permutations(range(10, 16))))
+    assert clause_key(renamed) == clause_key(a)
+    atoms = (renamed.head, *renamed.body)
+    i = data.draw(st.integers(0, len(atoms) - 1))
+    if atoms[i].args:
+        j = data.draw(st.integers(0, len(atoms[i].args) - 1))
+        args = list(atoms[i].args)
+        args[j] = data.draw(st.one_of(st.builds(Var, st.integers(10, 16)), st.integers(0, 2)))
+        atoms = atoms[:i] + (Atom(atoms[i].pred, tuple(args)),) + atoms[i + 1:]
+    changed = Clause(atoms[0], atoms[1:])
+    for b in (renamed, changed, data.draw(KEY_CLAUSE)):
+        assert (clause_key(a) == clause_key(b)) == (_shown(a) == _shown(b))
