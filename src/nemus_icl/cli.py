@@ -262,7 +262,10 @@ def _cmd_enumerate(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as it
+    was, and help text reads the terminal width when it is formatted."""
     p = argparse.ArgumentParser(
         prog=PROG,
         description="Inductive clause learning over a shared multi-space index.",

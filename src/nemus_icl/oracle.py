@@ -7,9 +7,12 @@ example lands in the model of BK plus the set and no negative does.
 
 The BK is compiled once into a `Bk` (relations, a join index, the Herbrand
 base's constants and arities) and shared by every least model computed over
-it: semi-naive evaluation (Bancilhon & Ramakrishnan 1986) whose joins fetch
-each atom after the delta atom through the index, as in Souffle (Jordan et
-al., CAV 2016).
+it.  A rule whose body reads no predicate the program derives is flat: its
+consequences depend on the BK alone (the splitting-set theorem, Lifschitz &
+Turner, ICLP 1994), so it fires once per compiled BK and keeps its head
+atoms.  Only the rules that read a derived predicate enter semi-naive
+evaluation (Bancilhon & Ramakrishnan 1986), whose joins fetch each atom after
+the delta atom through the index, as in Souffle (Jordan et al., CAV 2016).
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ class Bk:
     join index ((position, constant) -> argument tuples), and the constants
     and arities that feed the Herbrand-base bound.  The facts are never
     written after construction: a fixpoint copies the relations it derives
-    into.  Rules are compiled on first use and kept for the next call.
+    into.  Rules are compiled on first use and kept for the next call, and
+    with them the head atoms of each rule fired over the BK alone.
     """
 
     def __init__(self, facts):
@@ -103,7 +107,8 @@ class _Step(NamedTuple):
 
 class _Rule:
     """A rule's variables and constants numbered as slots of one environment
-    list (constants pre-bound), with its join plans made on first use."""
+    list (constants pre-bound).  Its join plans, and its head atoms over the
+    BK it is compiled for, are made on first use."""
 
     def __init__(self, rule: Clause):
         self.pred = rule.head.pred
@@ -118,7 +123,20 @@ class _Rule:
                     self.env.append(None if isinstance(t, Var) else t)
         self.constants = frozenset(v for v in self.env if v is not None)
         self.head = tuple(self.slot[t] for t in rule.head.args)
+        self.body_preds = frozenset(atom.pred for atom in rule.body)
         self.plans: dict = {}
+        self.fired: Optional[frozenset] = None  # see bk_consequences
+
+    def bk_consequences(self, bk: Bk) -> frozenset:
+        """The head atoms of every match over the BK alone: all the rule adds
+        to a program that derives none of its body predicates.  A _Rule
+        belongs to one Bk, and so does this cache."""
+        if self.fired is None:
+            out: set = set()
+            rows = bk.relations.get(self.body[0].pred, ())
+            _join(self.plan(0), 0, rows, list(self.env), bk.relations, bk.index, self.head, out)
+            self.fired = frozenset(GroundAtom(self.pred, args) for args in out)
+        return self.fired
 
     def plan(self, first: int) -> tuple:
         """Join order with body atom `first` read from the delta.  Each later
@@ -190,8 +208,12 @@ def _extend(relations, index, fresh: dict):
 
 
 def least_model(prog: Program) -> frozenset:
-    """Least fixpoint of the immediate-consequence step, semi-naive
-    (delta-driven) over the compiled BK with indexed joins."""
+    """Least fixpoint of the immediate-consequence step over the compiled BK.
+
+    A flat rule, whose body reads no predicate that a rule or ground unit of
+    the program derives, adds its kept matches over the BK.  Only the other
+    rules run the semi-naive (delta-driven) loop with indexed joins, seeded
+    with the units and the flat rules' atoms; without them no fixpoint runs."""
     bk = _compiled(prog.facts)
     rules, units = [], []
     for clause in prog.rules:
@@ -199,9 +221,19 @@ def least_model(prog: Program) -> frozenset:
             rules.append(bk.rule(clause))
         else:
             _check_range_restricted(clause)
-            units.append(clause.head)
+            units.append(GroundAtom(*clause.head))
+    derived_preds = {rule.pred for rule in rules} | {atom.pred for atom in units}
+    fired, looped = [], []
+    for rule in rules:
+        if rule.body_preds.isdisjoint(derived_preds):
+            fired.append(rule.bk_consequences(bk))
+        else:
+            looped.append(rule)
+    if not looped:
+        return bk.atoms.union(units, *fired)
 
-    # finite Herbrand base bounds the rounds; the cap is a tripwire, not a knob
+    # finite Herbrand base bounds the rounds; the cap is a tripwire, not a knob,
+    # and counts every rule and unit, the flat ones too
     arities = dict(bk.arities)
     constants = set()
     for atom in units:
@@ -217,24 +249,23 @@ def least_model(prog: Program) -> frozenset:
     # relation and index; every other one is the BK's, shared and never written
     relations = dict(bk.relations)
     index = dict(bk.index)
-    derived_preds = {rule.pred for rule in rules} | {atom.pred for atom in units}
     for p in derived_preds:
         relations[p] = set(bk.relations.get(p, ()))
         index[p] = {key: list(rows) for key, rows in bk.index.get(p, _NO_INDEX).items()}
     delta: dict = {}
-    for atom in units:
+    for atom in itertools.chain(units, *fired):
         if atom.args not in relations[atom.pred]:
             delta.setdefault(atom.pred, set()).add(atom.args)
     _extend(relations, index, delta)
 
-    delta = None  # the first round applies every rule to the whole model
+    delta = None  # the first round applies every looped rule to the whole model
     rounds = 0
     while True:
         rounds += 1
         if rounds > hb_size + 1:
             raise RuntimeError("fixpoint exceeded the Herbrand-base bound")
         derived: dict = {}
-        for rule in rules:
+        for rule in looped:
             out = derived.setdefault(rule.pred, set())
             env = list(rule.env)
             for i, atom in enumerate(rule.body):
@@ -377,7 +408,9 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
     head_vars = _atom_vars(head)
     seen = set()
     for size in range(1, caps.max_body + 1):
-        for body in itertools.product(atoms, repeat=size):
+        # one body per multiset of atoms, in the order itertools.product first
+        # meets it: at its sorted index tuple, the least of its permutations
+        for body in itertools.combinations_with_replacement(atoms, size):
             canon = min(_normalize([head] + list(p)) for p in itertools.permutations(body))
             if canon in seen:
                 continue

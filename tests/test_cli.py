@@ -291,3 +291,28 @@ def test_trace_stream_matches_golden(tmp_path, name, kb_text):
     proc = run_cli("learn", str(p), "--trace")
     assert proc.returncode == 0
     assert proc.stderr == (GOLDEN / f"{name}.trace.jsonl").read_text()
+
+
+def test_subcommands_in_one_process_match_fresh_calls(family_path, tmp_path, capsys, monkeypatch):
+    """The argparse tree is built once per process; every subcommand, and an
+    argparse rejection between them, prints what a fresh process prints."""
+    hyp = tmp_path / "learned.clauses"
+    hyp.write_text("\n".join(sorted(FAMILY_SOLUTION)) + "\n")
+    argvs = [
+        ["learn", family_path],
+        ["check", family_path, "--hypothesis", str(hyp)],
+        ["enumerate", family_path, "--max-clauses", "3", "--limit", "5"],
+        ["enumerate", family_path, "--max-vars", "three"],  # argparse exits 2
+        ["dump-nemus", family_path],
+        ["learn", family_path, "--json"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    fresh = [run_cli(*argv, env_extra={"COLUMNS": "80"}) for argv in argvs]
+    assert [proc.returncode for proc in fresh] == [0, 0, 1, 2, 0, 0]
+    for _ in range(2):
+        for argv, proc in zip(argvs, fresh):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            assert (rc, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLLISION, FAMILY, FAMILY_SOLUTION, render_set
+from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, render_set
+from nemus_icl import oracle
 from nemus_icl import (
     Atom,
     Bk,
@@ -148,14 +149,22 @@ def _atoms(terms):
 GROUND = _atoms(CONSTANTS).map(lambda a: GroundAtom(a.pred, a.args))
 
 
+BODY = st.lists(_atoms(TERMS), min_size=1, max_size=3).map(tuple)
+
+
+def _head(draw, pred, body) -> Atom:
+    """A range-restricted head: body terms and constants."""
+    bound = st.one_of(st.sampled_from([t for atom in body for t in atom.args]), CONSTANTS)
+    return Atom(pred, tuple(draw(bound) for _ in range(ARITY[pred])))
+
+
 @st.composite
 def _rule(draw):
     """Variables may repeat in one atom, bodies may hold constants, and the
     head predicate may also have facts or occur in the body (recursion)."""
-    body = tuple(draw(st.lists(_atoms(TERMS), min_size=1, max_size=3)))
+    body = draw(BODY)
     head_pred = draw(st.sampled_from(sorted(ARITY)) | st.sampled_from([atom.pred for atom in body]))
-    bound = st.one_of(st.sampled_from([t for atom in body for t in atom.args]), CONSTANTS)
-    return Clause(Atom(head_pred, tuple(draw(bound) for _ in range(ARITY[head_pred]))), body)
+    return Clause(_head(draw, head_pred, body), body)
 
 
 UNIT = GROUND.map(lambda g: Clause(Atom(g.pred, g.args), ()))
@@ -210,6 +219,77 @@ def test_compiled_model_and_verdict_match_naive_fixpoint(facts, clauses, positiv
     want = Verdict(False, failed[0]) if failed else Verdict(True, None)
     assert verify(bk, clauses, positives, negatives) == want
     assert verify(facts, clauses, positives, negatives) == want
+
+
+@st.composite
+def _apart(draw):
+    """A rule whose head predicate is not among its body's: flat in any
+    program that derives none of them."""
+    body = draw(BODY)
+    head_pred = draw(st.sampled_from(sorted(set(ARITY) - {atom.pred for atom in body})))
+    return Clause(_head(draw, head_pred, body), body)
+
+
+@st.composite
+def _deriving(draw, preds):
+    """A unit or a rule whose head predicate is one of preds."""
+    pred = draw(st.sampled_from(sorted(preds)))
+    if draw(st.booleans()):
+        return Clause(Atom(pred, draw(st.tuples(*[CONSTANTS] * ARITY[pred]))), ())
+    body = draw(BODY)
+    return Clause(_head(draw, pred, body), body)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_programs_sharing_clauses_over_one_bk_match_naive_fixpoint(data):
+    """The first shared rule reads a predicate the second program derives,
+    through a rule or a ground unit, and is flat in the first program unless
+    its other clauses derive one too.  Neither order of evaluation over one
+    Bk may leak one program's atoms into the other."""
+    facts = data.draw(st.lists(GROUND, max_size=10))
+    shared = [data.draw(_apart())] + data.draw(st.lists(_rule(), max_size=1))
+    others = st.lists(st.one_of(_rule(), UNIT), max_size=1)
+    programs = [shared + data.draw(others),
+                data.draw(others) + [data.draw(_deriving({atom.pred for atom in shared[0].body}))] + shared]
+    if data.draw(st.booleans()):
+        programs.reverse()
+    bk = Bk(facts)
+    for clauses in programs + programs:
+        assert least_model(Program(bk, clauses)) == _naive_model(facts, clauses)
+    assert bk.relations == Bk(facts).relations and bk.index == Bk(facts).index
+
+
+def test_rule_flat_in_one_program_reads_derived_in_the_next():
+    kb = parse_kb("q(b).\nr(c).\n#target t/1.\n#positive t(b).\n")
+    t, q = kb.task.target, kb.symbols.predicate_code("q", 1)
+    a, b, c = (kb.symbols.constant_code(name) for name in "abc")
+    rules = parse_hypothesis("t(X) :- q(X).\nq(X) :- r(X).\n", kb.symbols)
+    unit = Clause(Atom(q, (a,)), ())
+    bk = Bk(kb.facts)
+    derived = lambda clauses: least_model(Program(bk, clauses)) - bk.atoms
+    assert derived(rules[:1]) == {GroundAtom(t, (b,))}
+    assert derived([rules[0], unit]) == {GroundAtom(q, (a,)), GroundAtom(t, (a,)), GroundAtom(t, (b,))}
+    assert derived(rules) == {GroundAtom(q, (c,)), GroundAtom(t, (b,)), GroundAtom(t, (c,))}
+    assert derived(rules[:1]) == {GroundAtom(t, (b,))}
+
+
+def test_flat_rule_joins_the_bk_once_per_compiled_bk(monkeypatch):
+    joins = []
+    real = oracle._join
+    monkeypatch.setattr(oracle, "_join", lambda *args: joins.append(1) or real(*args))
+    kb = parse_kb(COLLISION)
+    clauses = parse_hypothesis("p(X) :- p1(X,Y), qj(Z,Y).\n", kb.symbols)
+    bk = Bk(kb.facts)
+    args = (clauses, kb.task.positives, kb.task.negatives)
+    assert not verify(bk, *args).ok
+    once = len(joins)
+    assert once > 0
+    for _ in range(3):
+        assert not verify(bk, *args).ok
+    assert len(joins) == once
+    assert not verify(Bk(kb.facts), *args).ok
+    assert len(joins) == 2 * once
 
 
 def test_model_minimality_spot_check():
@@ -308,6 +388,74 @@ def test_enumerate_deterministic_stream():
         )
     ]
     assert take(kb1) == take(kb2)
+
+
+def _vars(atom) -> set:
+    return {t.code for t in atom.args if isinstance(t, Var)}
+
+
+def _range_restricted_and_connected(head, body) -> bool:
+    reached = _vars(head)
+    if not reached <= set().union(*map(_vars, body)):
+        return False
+    left = list(body)
+    while left:
+        nxt = [a for a in left if _vars(a) & reached]
+        if not nxt:
+            return False
+        for a in nxt:
+            reached |= _vars(a)
+            left.remove(a)
+    return True
+
+
+def _product_order_pool(kb, caps) -> list:
+    """The enumerator's clause pool under a budget of two clauses besides the
+    bias prelude, its bodies walked in itertools.product order, each kept at
+    the first ordering whose least key over all its orderings is new."""
+    task, sym = kb.task, kb.symbols
+    arity = lambda p: sym.predicate_sig(p)[1]
+    head = Atom(task.target, tuple(Var(i) for i in range(arity(task.target))))
+    preds = sorted({f.pred for f in kb.facts}) + [b.invented for b in task.biases]
+    if task.target not in preds:  # two clauses can bottom a recursion out
+        preds.append(task.target)
+    pool = [Clause(Atom(task.target, args), ())
+            for args in itertools.product(range(sym.n_constants), repeat=arity(task.target))
+            if GroundAtom(task.target, args) not in task.positives]
+    variables = [Var(i) for i in range(caps.max_vars)]
+    atoms = [Atom(p, args) for p in preds for args in itertools.product(variables, repeat=arity(p))]
+    least = {}  # the least key over a multiset's orderings, one computation per multiset
+    seen = set()
+    for size in range(1, caps.max_body + 1):
+        for idx in itertools.product(range(len(atoms)), repeat=size):
+            multiset = tuple(sorted(idx))
+            if multiset not in least:
+                least[multiset] = min(clause_key(Clause(head, tuple(atoms[i] for i in order)))
+                                      for order in itertools.permutations(idx))
+            if least[multiset] in seen:
+                continue
+            seen.add(least[multiset])
+            body = tuple(atoms[i] for i in idx)
+            if _range_restricted_and_connected(head, body):
+                pool.append(Clause(head, body))
+    return pool
+
+
+@pytest.mark.parametrize("kb_text", [FAMILY, COLLISION, BRIDGE], ids=["family", "collision", "bridge"])
+@pytest.mark.parametrize("max_body, max_vars", [(1, 4), (2, 4), (3, 3)])
+def test_enumerate_pool_in_product_order(monkeypatch, kb_text, max_body, max_vars):
+    """The single clauses after the bias prelude are the pool, in order; the
+    two-clause budget puts the target among the body predicates.  Verdicts
+    are not compared, so verify is stubbed."""
+    monkeypatch.setattr(oracle, "verify", lambda *args: Verdict(True, None))
+    kb = parse_kb(kb_text)
+    prelude = sum(len(b.sources) for b in kb.task.biases)
+    caps = EnumCaps(max_body=max_body, max_clauses=prelude + 2, max_vars=max_vars)
+    want = _product_order_pool(kb, caps)
+    stream = enumerate_hypotheses(kb.facts, kb.task, caps, kb.symbols)
+    rows = [clauses for clauses, _ in itertools.islice(stream, len(want) + 1)]
+    assert [clauses[prelude:] for clauses in rows[:len(want)]] == [(c,) for c in want]
+    assert len(rows[-1]) == prelude + 2  # the pool is exhausted: pairs follow
 
 
 # --- the canonical clause key ----------------------------------------------------
