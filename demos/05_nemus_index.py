@@ -1,15 +1,16 @@
-"""Poke at the shared multi-space index that the learner walks.
+"""Poke at the compiled KB that the learner walks.
 
-Constants, predicates, and clauses each live in their own space, tied
-together by typed nodes.  beta(c) answers "where does this constant occur
-as a fact argument" in file order — that one query drives the whole
-chain-building walk.  region_similarity compares a binary predicate's two
-argument columns (used to gate recursive hypotheses).
+beta(c) answers "which facts does this constant occur in" in file order,
+once per argument occurrence — that one query drives the whole
+chain-building walk.  dump lays the same facts out as the paper's spaces:
+constants, predicates and clauses, tied together by T-Nodes (space, code,
+occurrence, argument position).  region_similarity compares a binary
+predicate's two argument columns (used to gate recursive hypotheses).
 """
 
 import json
 
-from nemus_icl import beta, compile_kb, dump, iota, parse_kb, region_similarity
+from nemus_icl import beta, compile_kb, dump, parse_kb, region_similarity, render_ground_atom
 
 KB = """\
 father(jake, alice).
@@ -28,13 +29,15 @@ sym = kb.symbols
 
 alice = sym.constant_code("alice")
 print(f"beta(alice):  # code {alice}")
-for b in beta(nemus, alice):
-    name, _ = sym.predicate_sig(b.target.c)
-    print(f"  {name} instance {b.target.i}, argument {b.target.a} (w={b.w}, k={b.k})")
+for fact in beta(nemus, alice):
+    print("  " + render_ground_atom(fact, sym))
 
-# iota: zero-based position of the first occurrence in an argument vector
-args = nemus.P.positive[sym.predicate_code("father", 2)][0].args
-print("iota(alice, father#1 args):", iota(alice, args))
+# the same occurrences as T-Nodes of the predicate space: (h, c, i, a)
+doc = dump(nemus, kb.task.negatives)
+print("alice's T-Nodes in the dump:")
+for binding in doc["constants"][alice]["bindings"]:
+    h, c, i, a = binding["t"]
+    print(f"  {tuple(binding['t'])}: {sym.predicate_sig(c)[0]} instance {i}, argument {a}")
 
 father = sym.predicate_code("father", 2)
 mother = sym.predicate_code("mother", 2)
@@ -42,4 +45,4 @@ print("region_similarity(father):", region_similarity(nemus, father))
 print("region_similarity(father+mother):", region_similarity(nemus, father, sources=(father, mother)))
 
 print("\nfull dump:")
-print(json.dumps(dump(nemus), indent=2)[:400] + " ...")
+print(json.dumps(doc, indent=2)[:400] + " ...")

@@ -3,7 +3,8 @@
 The package splits into four layers:
 
 * :mod:`nemus_icl.kb` — the KB file language: interning, parsing, rendering;
-* :mod:`nemus_icl.nemus` — the compiled index (spaces, bindings, beta/iota);
+* :mod:`nemus_icl.nemus` — the compiled KB the learner walks (beta returns
+  a constant's facts; dump is the view of the paper's spaces);
 * :mod:`nemus_icl.engine` — the learner (momentum pruning, anti-unification,
   recursion, predicate invention);
 * :mod:`nemus_icl.oracle` — least-Herbrand-model verification and the
@@ -47,17 +48,12 @@ from .kb import (
 )
 from .nemus import (
     ArityError,
-    Binding,
-    ISpace,
-    PredicateSpace,
     SharedNeMuS,
-    TNode,
     UnknownInstance,
     atom_of,
     beta,
     compile_kb,
     dump,
-    iota,
     region_similarity,
 )
 from .oracle import (
@@ -75,15 +71,15 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntiSubstitution", "ArityError", "Atom", "Binding", "Bk", "Clause", "Directive", "EnumCaps",
-    "GroundAtom", "Hypothesis", "ISpace", "InventionBias", "KbError",
+    "AntiSubstitution", "ArityError", "Atom", "Bk", "Clause", "Directive", "EnumCaps",
+    "GroundAtom", "Hypothesis", "InventionBias", "KbError",
     "KnowledgeBase", "LearnResult", "LearnTask", "ParseError",
-    "PreconditionFault", "PredicateSpace", "Program", "RangeRestrictionFault",
-    "SharedNeMuS", "Stats", "SymbolTable", "TNode", "UnknownCode",
+    "PreconditionFault", "Program", "RangeRestrictionFault",
+    "SharedNeMuS", "Stats", "SymbolTable", "UnknownCode",
     "UnknownInstance", "ValidationError", "Var",
     "Verdict", "anti_unify", "apply_bias", "atom_of", "attribute_mates",
     "beta", "clause_key", "compile_kb", "dump", "enumerate_hypotheses",
-    "inductive_momentum", "invent_auto", "iota", "learn", "least_model",
+    "inductive_momentum", "invent_auto", "learn", "least_model",
     "parse_hypothesis", "parse_kb", "region_similarity", "render_clause",
     "render_ground_atom", "render_kb", "rho", "try_recursion", "verify",
 ]

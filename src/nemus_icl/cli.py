@@ -206,7 +206,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_dump_nemus(args) -> int:
     kb = parse_kb(_read(args.kb))
-    _print_json(dump(compile_kb(kb)))
+    _print_json(dump(compile_kb(kb), kb.task.negatives if kb.task is not None else ()))
     return 0
 
 

@@ -25,9 +25,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
-from .kb import Atom, Clause, GroundAtom, Var, render_clause, render_ground_atom
+from .kb import Atom, Clause, GroundAtom, Var, atom_vars, render_clause, render_ground_atom
+# atom_of is unused here; perfbench/tracer.py wraps it by the name engine.atom_of
 from .nemus import SharedNeMuS, atom_of, beta, region_similarity
-from .oracle import Bk, Verdict, clause_key, verify
+from .oracle import Verdict, clause_key, verify
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -61,22 +62,19 @@ class AntiSubstitution:
 
     def __init__(self, mapping: Optional[dict] = None):
         self.mapping = dict(mapping) if mapping else {}
-        self._vars = {v.code for v in self.mapping.values()}
+        self.inverse = {v: c for c, v in self.mapping.items()}
 
     def get(self, const: int) -> Optional[Var]:
         return self.mapping.get(const)
 
     def const_of(self, var: Var) -> Optional[int]:
-        for c, v in self.mapping.items():
-            if v == var:
-                return c
-        return None
+        return self.inverse.get(var)
 
     def bind(self, const: int, var: Var):
-        if const in self.mapping or var.code in self._vars:
+        if const in self.mapping or var in self.inverse:
             raise PreconditionFault(f"binding {const}->{var} breaks injectivity")
         self.mapping[const] = var
-        self._vars.add(var.code)
+        self.inverse[var] = const
 
     def copy(self) -> "AntiSubstitution":
         return AntiSubstitution(self.mapping)
@@ -102,10 +100,7 @@ class Hypothesis:
     fresh: int = 0  # next variable code
 
     def body_vars(self) -> set:
-        out = set()
-        for atom in self.body:
-            out |= {t.code for t in atom.args if isinstance(t, Var)}
-        return out
+        return set().union(*map(atom_vars, self.body))
 
 
 @dataclass
@@ -249,8 +244,14 @@ def try_recursion(open_hyp: Hypothesis, next_atom, nemus: SharedNeMuS, tau: floa
 # --- the learner -------------------------------------------------------------
 
 
-def _vars_of(atom) -> set:
-    return {t.code for t in atom.args if isinstance(t, Var)}
+def _head(pred: int, example: GroundAtom):
+    """The example anti-unified as a head: its constants become X, Y, ... in
+    first-use order.  Returns (head atom, theta inverse)."""
+    theta = AntiSubstitution()
+    for c in example.args:
+        if c not in theta:
+            theta.bind(c, Var(len(theta)))
+    return Atom(pred, tuple(theta.get(c) for c in example.args)), theta
 
 
 def _clause_preds(clauses) -> set:
@@ -262,12 +263,12 @@ def _clause_preds(clauses) -> set:
 
 
 class _Walk:
-    """Search state shared across one learn() call."""
+    """Search state shared across one learn() call, the invention sub-walks
+    included: counters, memos, rejections, bias state, taken predicates."""
 
-    def __init__(self, nemus: SharedNeMuS, task: LearnTask, trace, include_pruned: bool, bk: Bk):
+    def __init__(self, nemus: SharedNeMuS, task: LearnTask, trace, include_pruned: bool):
         self.nemus = nemus
         self.task = task
-        self.bk = bk
         self.verdicts: dict = {}  # (clause set, positives, negatives) -> Verdict
         self.keys: dict = {}  # Clause -> clause_key
         self.sym = nemus.symbols
@@ -280,7 +281,7 @@ class _Walk:
         self.sources_of = {b.invented: b.sources for b in task.biases}
         # codes an auto-invented predicate must not collide with; re-running
         # learn on the same symbol table reuses inv_N names deterministically
-        self.inv_taken = {p for p in range(len(nemus.P.positive)) if nemus.P.positive[p]}
+        self.inv_taken = set(nemus.bk.relations)
         self.inv_taken.add(task.target)
         for b in task.biases:
             self.inv_taken.add(b.invented)
@@ -314,13 +315,13 @@ class _Walk:
                 self.inv_taken.add(code)
                 return code
 
-    def verdict(self, clauses, positives) -> Verdict:
-        """The oracle's verdict on the clause set against the task's
-        negatives; the walk meets many sets more than once, so it is memoised."""
-        key = (frozenset(clauses), positives, self.task.negatives)
+    def verdict(self, clauses, positives, negatives) -> Verdict:
+        """The oracle's verdict on the clause set; the walk meets many sets
+        more than once, so it is memoised."""
+        key = (frozenset(clauses), positives, negatives)
         verdict = self.verdicts.get(key)
         if verdict is None:
-            verdict = self.verdicts[key] = verify(self.bk, clauses, positives, self.task.negatives)
+            verdict = self.verdicts[key] = verify(self.nemus.bk, clauses, positives, negatives)
         return verdict
 
     def set_key(self, clauses) -> frozenset:
@@ -352,8 +353,7 @@ class _Walk:
             return NOT_APPLIED  # seeds are exempt; pairing starts at the mates
         verdict = CONSISTENT
         for m in state.pairs.get(hook, ()):
-            for nb in beta(self.nemus, m):
-                l_minus = atom_of(self.nemus, nb.target.c, nb.target.i)
+            for l_minus in beta(self.nemus, m):
                 if inductive_momentum(cand, l_minus, hook, m) == INCONSISTENT:
                     return INCONSISTENT
         return verdict
@@ -364,8 +364,7 @@ class _Walk:
         out = None
         k_pos = cand.args.index(hook)
         for m in pairs.get(hook, ()):
-            for nb in beta(self.nemus, m):
-                l_minus = atom_of(self.nemus, nb.target.c, nb.target.i)
+            for l_minus in beta(self.nemus, m):
                 if l_minus.pred != cand.pred or l_minus.args.index(m) != k_pos:
                     continue
                 for cp, cm in zip(cand.args, l_minus.args):
@@ -379,24 +378,17 @@ class _Walk:
 
     # -- one positive example --
 
-    def learn_positive(self, e_pos: GroundAtom, allow_invention=True):
-        """Narrow walk for one positive example; returns ordered verified sets."""
+    def learn_positive(self, e_pos: GroundAtom, target: int, negatives: tuple, allow_invention=True):
+        """Narrow walk for one positive example of `target` against the
+        negatives; returns ordered verified sets."""
         results: dict = {}  # set_key -> clause tuple
 
-        theta = AntiSubstitution()
-        head_terms = []
-        for c in e_pos.args:
-            v = theta.get(c)
-            if v is None:
-                v = Var(len(theta))
-                theta.bind(c, v)
-            head_terms.append(v)
-        head = Atom(self.task.target, tuple(head_terms))
+        head, theta = _head(target, e_pos)
         head_consts = set(e_pos.args)
         binary = len(e_pos.args) == 2
 
         pairs: dict = {}
-        for neg in self.task.negatives:
+        for neg in negatives:
             for pos_c, neg_c in zip(e_pos.args, neg.args):
                 if neg_c not in pairs.get(pos_c, ()):
                     pairs[pos_c] = pairs.get(pos_c, ()) + (neg_c,)
@@ -412,7 +404,7 @@ class _Walk:
 
         def record(clauses, shown: Clause):
             full = tuple(dict.fromkeys(self.attach_defs(clauses)))
-            verdict = self.verdict(full, (e_pos,))
+            verdict = self.verdict(full, (e_pos,), negatives)
             if verdict.ok:
                 results.setdefault(self.set_key(full), full)
             else:
@@ -428,8 +420,7 @@ class _Walk:
             extensions = []
 
             for hook in state.frontier:
-                for binding in beta(self.nemus, hook):
-                    cand = atom_of(self.nemus, binding.target.c, binding.target.i)
+                for cand in beta(self.nemus, hook):
                     self.stats.candidates += 1
                     if cand in state.used:
                         self.emit_trace(hook, cand, NOT_APPLIED, "duplicate")
@@ -443,7 +434,7 @@ class _Walk:
                     rewritten = self.rewrite(cand)
                     gen, theta2, fresh2 = anti_unify(rewritten, state.theta_inv, state.fresh)
 
-                    closes = _vars_of(head) <= (state.body_vars() | _vars_of(gen)) if binary \
+                    closes = atom_vars(head) <= (state.body_vars() | atom_vars(gen)) if binary \
                         else (not self._mates(rewritten, hook) or len(state.body) + 1 >= self.task.max_body)
                     recursion = None
                     if (
@@ -509,19 +500,8 @@ class _Walk:
         closed, new_open = invent_auto(state, self.fresh_pred)
         inv_pred = new_open.head.pred
         self.emit_trace(state.frontier[0], self.sym.render_sig(inv_pred), NOT_APPLIED, "invent")
-        y_const = e_pos.args[1]
-        sub_task = replace(
-            self.task, target=inv_pred, positives=(GroundAtom(inv_pred, (state.frontier[0], y_const)),),
-            negatives=(),
-        )
-        sub = _Walk(self.nemus, sub_task, self.trace, self.include_pruned, self.bk)
-        sub.stats = self.stats  # shared counters
-        sub.verdicts = self.verdicts
-        sub.rejected = self.rejected
-        sub.bias_emitted = self.bias_emitted
-        sub.bias_defs = self.bias_defs
-        sub.inv_taken = self.inv_taken
-        sub_sets = sub.learn_positive(sub_task.positives[0], allow_invention=False)
+        bridge = GroundAtom(inv_pred, (state.frontier[0], e_pos.args[1]))
+        sub_sets = self.learn_positive(bridge, inv_pred, (), allow_invention=False)
         main = Clause(head, closed.body)
         for sub_clauses in sub_sets.values():
             record((main,) + tuple(sub_clauses), main)
@@ -532,17 +512,11 @@ class _Walk:
         """Grow connected ground witnesses and anti-unify them; complete for
         single-clause solutions within max_body.  Stops at the first verified
         set.  No momentum, no bias, no invention here."""
-        facts = self.bk.facts
+        facts = self.nemus.bk.facts
         head_consts = list(dict.fromkeys(e_pos.args))
         binary = len(e_pos.args) == 2
 
-        theta0 = {}
-        head_terms = []
-        for c in e_pos.args:
-            if c not in theta0:
-                theta0[c] = Var(len(theta0))
-            head_terms.append(theta0[c])
-        head = Atom(self.task.target, tuple(head_terms))
+        head, theta0 = _head(self.task.target, e_pos)
 
         seeds = []
         for idx, f in enumerate(facts):
@@ -559,7 +533,7 @@ class _Walk:
                 consts.update(facts[i].args)
 
             if set(head_consts) <= consts:
-                theta = dict(theta0)
+                theta = dict(theta0.mapping)
                 body = []
                 for i in state:
                     terms = []
@@ -569,7 +543,7 @@ class _Walk:
                         terms.append(theta[c])
                     body.append(Atom(facts[i].pred, tuple(terms)))
                 clause = Clause(head, tuple(body))
-                verdict = self.verdict((clause,), (e_pos,))
+                verdict = self.verdict((clause,), (e_pos,), self.task.negatives)
                 self.emit_trace(None, clause, NOT_APPLIED, "verified" if verdict.ok else "dropped", phase=2)
                 if verdict.ok:
                     return {self.set_key((clause,)): (clause,)}
@@ -603,11 +577,10 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
     Every returned clause set is oracle-verified; an unreachable target yields
     an empty result with stats rather than an error.
     """
-    fact_nodes = (cspace[0].args[0] for cspace in nemus.C)
-    walk = _Walk(nemus, task, trace, include_pruned, Bk(atom_of(nemus, t.c, t.i) for t in fact_nodes))
+    walk = _Walk(nemus, task, trace, include_pruned)
     per_example = []
     for e_pos in task.positives:
-        sets = walk.learn_positive(e_pos)
+        sets = walk.learn_positive(e_pos, task.target, task.negatives)
         if not sets:
             sets = walk.witness_walk(e_pos)
         per_example.append(sets)
@@ -624,14 +597,14 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
                     if c not in merged:
                         merged.append(c)
             merged = tuple(merged)
-            verdict = walk.verdict(merged, task.positives)
+            verdict = walk.verdict(merged, task.positives, task.negatives)
             if not verdict.ok:
                 walk.stats.dropped += 1
                 walk.rejected.append((merged, verdict.failed))
                 continue
             hypotheses.setdefault(walk.set_key(merged), merged)
 
-    bk_preds = {i for i, insts in enumerate(nemus.P.positive) if insts}
+    bk_preds = nemus.bk.relations
     creatable = {b.invented for b in task.biases}
     invented = []
     for clauses in hypotheses.values():

@@ -150,6 +150,11 @@ def is_ground(atom) -> bool:
     return not any(isinstance(t, Var) for t in atom.args)
 
 
+def atom_vars(atom) -> set:
+    """The codes of the atom's variables."""
+    return {t.code for t in atom.args if isinstance(t, Var)}
+
+
 def setting_error(name: str, value) -> Optional[str]:
     """Why a setting's value is out of range, or None when it is in range;
     the file directives and the command-line flags both ask here."""

@@ -1,23 +1,26 @@
-"""Shared NeMuS: the weighted, cross-indexed multi-space over a ground KB.
+"""Shared NeMuS: the compiled KB the learner walks.
 
-Spaces are numbered 0=variables, 1=constants, 3=predicates, 4=clauses
-(space 2, functions, is absent by design).  A T-Node (h, c, i, a) addresses
-occurrence i of object c in space h at attribute position a.  beta(c) is the
-vector of bindings recording every argument occurrence of constant c across
-the facts; it is what the learner walks.
+compile_kb builds it once per KB: the oracle's Bk of the facts, and beta(c),
+the facts that constant c occurs in, one entry per argument occurrence in
+file order.  beta is what the learner walks.
+
+The paper's weighted multi-space layout is a view built on demand by dump:
+spaces numbered 0=variables, 1=constants, 3=predicates, 4=clauses (space 2,
+functions, is absent by design), where a T-Node (h, c, i, a) addresses
+occurrence i of object c in space h at attribute position a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 from .kb import GroundAtom, KnowledgeBase, SymbolTable, UnknownCode
+from .oracle import Bk
 
 VAR_SPACE, CONST_SPACE, PRED_SPACE, CLAUSE_SPACE = 0, 1, 3, 4
 
-# every binding carries this weight; stored for the data model, ignored by
-# region_similarity (set overlap only)
+# every binding of the view carries this weight; nothing reads it, and
+# region_similarity uses set overlap only
 DEFAULT_WEIGHT = 1.0
 
 
@@ -29,112 +32,38 @@ class ArityError(Exception):
     pass
 
 
-class TNode(NamedTuple):
-    h: int  # space
-    c: int  # code within the space
-    i: int  # occurrence index, >= 1, file order
-    a: int  # attribute position, >= 1
-
-
-class Binding(NamedTuple):
-    target: TNode
-    w: float
-    k: int  # code of the subject object owning this binding
-
-
-class ISpace(NamedTuple):
-    """One compound instance: its argument T-Nodes plus who points at it."""
-
-    args: tuple  # of TNode
-    bindings: tuple  # of Binding
-
-
-class PredicateSpace(NamedTuple):
-    positive: tuple  # per predicate code: tuple of ISpace, one per ground instance
-    negative: tuple  # same shape; populated from #negative examples only
-
-
 @dataclass(frozen=True)
 class SharedNeMuS:
-    """Immutable compiled index <V, S, P, C>; share freely across learn tasks."""
+    """Immutable compiled KB; share freely across learn tasks."""
 
-    V: tuple  # variable space: empty binding vectors for a ground BK
-    S: tuple  # constant space: per constant code, tuple of Binding
-    P: PredicateSpace
-    C: tuple  # clause space: per unit clause, a 1-ISpace C-Space with empty bindings
+    bk: Bk  # the facts, compiled for the oracle and the witness walk
+    occurrences: tuple  # per constant code: the facts it occurs in, once per argument occurrence
     symbols: SymbolTable
 
 
 def compile_kb(kb: KnowledgeBase) -> SharedNeMuS:
-    """Build the index; occurrence indices follow fact order in the file."""
-    sym = kb.symbols
-    n_const, n_pred = sym.n_constants, sym.n_predicates
-
-    const_bindings = [[] for _ in range(n_const)]
-    pos_instances = [[] for _ in range(n_pred)]
-    neg_instances = [[] for _ in range(n_pred)]
-    clause_spaces = []
-    const_occ = [0] * n_const  # per-constant occurrence counters (facts)
-
-    for clause_code, fact in enumerate(kb.facts):
-        inst = len(pos_instances[fact.pred]) + 1
-        args = []
-        for pos, c in enumerate(fact.args, start=1):
-            const_occ[c] += 1
-            args.append(TNode(CONST_SPACE, c, const_occ[c], pos))
-            const_bindings[c].append(
-                Binding(TNode(PRED_SPACE, fact.pred, inst, pos), DEFAULT_WEIGHT, c)
-            )
-        owner = Binding(TNode(CLAUSE_SPACE, clause_code, 1, 1), DEFAULT_WEIGHT, clause_code)
-        pos_instances[fact.pred].append(ISpace(tuple(args), (owner,)))
-        clause_spaces.append(
-            (ISpace((TNode(PRED_SPACE, fact.pred, inst, 1),), ()),)
-        )
-
-    if kb.task is not None:
-        neg_occ = [0] * n_const  # separate numbering per polarity
-        for atom in kb.task.negatives:
-            args = []
-            for pos, c in enumerate(atom.args, start=1):
-                neg_occ[c] += 1
-                args.append(TNode(CONST_SPACE, c, neg_occ[c], pos))
-            neg_instances[atom.pred].append(ISpace(tuple(args), ()))
-
-    return SharedNeMuS(
-        V=(),
-        S=tuple(tuple(bs) for bs in const_bindings),
-        P=PredicateSpace(
-            positive=tuple(tuple(xs) for xs in pos_instances),
-            negative=tuple(tuple(xs) for xs in neg_instances),
-        ),
-        C=tuple(clause_spaces),
-        symbols=sym,
-    )
+    """Compile the facts once; occurrences follow fact order in the file."""
+    occurrences = [[] for _ in range(kb.symbols.n_constants)]
+    for fact in kb.facts:
+        for c in fact.args:
+            occurrences[c].append(fact)
+    return SharedNeMuS(Bk(kb.facts), tuple(map(tuple, occurrences)), kb.symbols)
 
 
-def beta(nemus: SharedNeMuS, c: int):
-    """Bindings of constant c in occurrence order; empty if c never occurs in facts."""
-    if not 0 <= c < len(nemus.S):
+def beta(nemus: SharedNeMuS, c: int) -> tuple:
+    """The facts constant c occurs in, once per argument occurrence, in file
+    order; empty if c never occurs in facts."""
+    if not 0 <= c < len(nemus.occurrences):
         raise UnknownCode(c)
-    return nemus.S[c]
-
-
-def iota(c: int, tnodes) -> Optional[int]:
-    """Zero-based index of the first T-Node whose code is c; None when absent."""
-    for idx, t in enumerate(tnodes):
-        if t.c == c:
-            return idx
-    return None
+    return nemus.occurrences[c]
 
 
 def atom_of(nemus: SharedNeMuS, pred: int, instance: int) -> GroundAtom:
-    """Decode positive instance back to its ground atom (1-based instance index)."""
-    if not 0 <= pred < len(nemus.P.positive):
-        raise UnknownInstance((pred, instance))
-    insts = nemus.P.positive[pred]
+    """The fact that is instance `instance` (from 1, file order) of `pred`."""
+    insts = [f for f in nemus.bk.facts if f.pred == pred]
     if not 1 <= instance <= len(insts):
         raise UnknownInstance((pred, instance))
-    return GroundAtom(pred, tuple(t.c for t in insts[instance - 1].args))
+    return insts[instance - 1]
 
 
 def region_similarity(nemus: SharedNeMuS, pred: int, sources=None) -> float:
@@ -147,56 +76,65 @@ def region_similarity(nemus: SharedNeMuS, pred: int, sources=None) -> float:
         _, arity = nemus.symbols.predicate_sig(p)
         if arity != 2:
             raise ArityError(nemus.symbols.render_sig(p))
-        for inst in nemus.P.positive[p]:
-            first.add(inst.args[0].c)
-            second.add(inst.args[1].c)
+        for a, b in nemus.bk.relations.get(p, ()):
+            first.add(a)
+            second.add(b)
     union = first | second
     if not union:
         return 0.0
     return len(first & second) / len(union)
 
 
-# --- serialization ---------------------------------------------------------
+# --- the multi-space view ----------------------------------------------------
 
 
-def _tnode_json(t: TNode):
-    return [t.h, t.c, t.i, t.a]
+def _binding(h: int, c: int, i: int, a: int, k: int) -> dict:
+    return {"t": [h, c, i, a], "w": DEFAULT_WEIGHT, "k": k}
 
 
-def _binding_json(b: Binding):
-    return {"t": _tnode_json(b.target), "w": b.w, "k": b.k}
-
-
-def _ispace_json(x: ISpace):
-    return {
-        "args": [_tnode_json(t) for t in x.args],
-        "bindings": [_binding_json(b) for b in x.bindings],
-    }
-
-
-def dump(nemus: SharedNeMuS) -> dict:
-    """JSON-shaped dict with stable key order, for `dump-nemus` and diffing."""
+def dump(nemus: SharedNeMuS, negatives=()) -> dict:
+    """The spaces <V, S, P, C> as a JSON-shaped dict with stable key order,
+    for `dump-nemus` and diffing.  The negative predicate space holds the
+    task's negative examples; occurrence indices follow file order, counted
+    per constant and numbered separately for each polarity."""
     sym = nemus.symbols
-    pred_space = {}
-    for polarity, cspaces in (("positive", nemus.P.positive), ("negative", nemus.P.negative)):
-        pred_space[polarity] = [
-            {
-                "code": code,
-                "name": sym.predicate_sig(code)[0],
-                "arity": sym.predicate_sig(code)[1],
-                "instances": [_ispace_json(x) for x in insts],
-            }
-            for code, insts in enumerate(cspaces)
+    n_const = len(nemus.occurrences)
+    bindings = [[] for _ in range(n_const)]
+    positive = [[] for _ in range(sym.n_predicates)]
+    clauses = []
+    occ = [0] * n_const
+    for code, fact in enumerate(nemus.bk.facts):
+        inst = len(positive[fact.pred]) + 1
+        args = []
+        for pos, c in enumerate(fact.args, start=1):
+            occ[c] += 1
+            args.append([CONST_SPACE, c, occ[c], pos])
+            bindings[c].append(_binding(PRED_SPACE, fact.pred, inst, pos, c))
+        positive[fact.pred].append({"args": args, "bindings": [_binding(CLAUSE_SPACE, code, 1, 1, code)]})
+        clauses.append({"code": code, "instances": [{"args": [[PRED_SPACE, fact.pred, inst, 1]], "bindings": []}]})
+
+    negative = [[] for _ in range(sym.n_predicates)]
+    occ = [0] * n_const
+    for atom in negatives:
+        args = []
+        for pos, c in enumerate(atom.args, start=1):
+            occ[c] += 1
+            args.append([CONST_SPACE, c, occ[c], pos])
+        negative[atom.pred].append({"args": args, "bindings": []})
+
+    def space(instances) -> list:
+        return [
+            {"code": code, "name": sym.predicate_sig(code)[0], "arity": sym.predicate_sig(code)[1],
+             "instances": insts}
+            for code, insts in enumerate(instances)
         ]
+
     return {
-        "variables": list(nemus.V),
+        "variables": [],  # a ground BK binds no variable
         "constants": [
-            {"code": code, "name": sym.constant_name(code), "bindings": [_binding_json(b) for b in bs]}
-            for code, bs in enumerate(nemus.S)
+            {"code": code, "name": sym.constant_name(code), "bindings": bs}
+            for code, bs in enumerate(bindings)
         ],
-        "predicates": pred_space,
-        "clauses": [
-            {"code": code, "instances": [_ispace_json(x) for x in cspace]}
-            for code, cspace in enumerate(nemus.C)
-        ],
+        "predicates": {"positive": space(positive), "negative": space(negative)},
+        "clauses": clauses,
     }

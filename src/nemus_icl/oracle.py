@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .kb import Atom, Clause, GroundAtom, Var, is_ground
+from .kb import Atom, Clause, GroundAtom, Var, atom_vars, is_ground
 
 
 class RangeRestrictionFault(Exception):
@@ -83,16 +83,12 @@ class Verdict(NamedTuple):
 VERIFIED = Verdict(True, None)
 
 
-def _atom_vars(atom) -> set:
-    return {t.code for t in atom.args if isinstance(t, Var)}
+def _range_restricted(head, body) -> bool:
+    return atom_vars(head) <= set().union(*map(atom_vars, body))
 
 
 def _check_range_restricted(rule: Clause):
-    body_vars = set()
-    for b in rule.body:
-        body_vars |= _atom_vars(b)
-    missing = _atom_vars(rule.head) - body_vars
-    if missing:
+    if not _range_restricted(rule.head, rule.body):
         raise RangeRestrictionFault(rule)
 
 
@@ -344,11 +340,11 @@ def clause_key(clause: Clause) -> tuple:
 def _connected(head, body) -> bool:
     """Every body atom reachable from the head through shared variables."""
     remaining = list(body)
-    reached = _atom_vars(head)
+    reached = atom_vars(head)
     while remaining:
         for atom in remaining:
-            if _atom_vars(atom) & reached:
-                reached |= _atom_vars(atom)
+            if atom_vars(atom) & reached:
+                reached |= atom_vars(atom)
                 remaining.remove(atom)
                 break
         else:
@@ -405,23 +401,19 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
             pool.append(Clause(Atom(task.target, args), ()))
 
     atoms = list(_body_pool(preds_with_arity, variables))
-    head_vars = _atom_vars(head)
     seen = set()
     for size in range(1, caps.max_body + 1):
         # one body per multiset of atoms, in the order itertools.product first
-        # meets it: at its sorted index tuple, the least of its permutations
+        # meets it: at its sorted index tuple, the least of its permutations.
+        # The filters come first: the renamings the key quotients by fix the
+        # head's variables, so neither filter changes within one key.
         for body in itertools.combinations_with_replacement(atoms, size):
+            if not (_range_restricted(head, body) and _connected(head, body)):
+                continue
             canon = min(_normalize([head] + list(p)) for p in itertools.permutations(body))
             if canon in seen:
                 continue
             seen.add(canon)
-            body_vars = set()
-            for b in body:
-                body_vars |= _atom_vars(b)
-            if not head_vars <= body_vars:
-                continue
-            if not _connected(head, body):
-                continue
             pool.append(Clause(head, tuple(body)))
 
     for size in range(1, budget + 1):

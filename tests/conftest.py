@@ -1,6 +1,6 @@
 import pytest
 
-from nemus_icl import compile_kb, parse_kb, render_clause
+from nemus_icl import atom_of, beta, compile_kb, dump, parse_kb, render_clause
 
 FAMILY = """\
 father(jake, alice).
@@ -52,6 +52,31 @@ FAMILY_SOLUTION = {
 
 def render_set(clauses, symbols):
     return {render_clause(c.head, c.body, symbols) for c in clauses}
+
+
+def assert_index_invariants(kb, nemus):
+    """The spaces of dump(nemus) agree with the facts, and beta with them."""
+    doc = dump(nemus)
+    # one binding per argument slot of the fact list
+    assert sum(len(entry["bindings"]) for entry in doc["constants"]) == sum(len(f.args) for f in kb.facts)
+    for c, entry in enumerate(doc["constants"]):
+        assert len(entry["bindings"]) == sum(f.args.count(c) for f in kb.facts)
+        pointed = []
+        for b in entry["bindings"]:
+            assert b["k"] == c
+            h, pred, i, a = b["t"]
+            assert h == 3  # the predicate space
+            atom = atom_of(nemus, pred, i)
+            assert atom.args[a - 1] == c
+            pointed.append(atom)
+        # beta lists the facts the bindings point at, in binding order
+        assert beta(nemus, c) == tuple(pointed)
+    # the clause space decodes back to the facts, in file order
+    rebuilt = []
+    for cspace in doc["clauses"]:
+        h, pred, i, a = cspace["instances"][0]["args"][0]
+        rebuilt.append(atom_of(nemus, pred, i))
+    assert rebuilt == list(kb.facts)
 
 
 @pytest.fixture

@@ -11,12 +11,11 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, render_set
+from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_index_invariants, render_set
 from corpus import CORPUS_SIZE, random_kb
 from nemus_icl import (
     EnumCaps,
     GroundAtom,
-    atom_of,
     compile_kb,
     enumerate_hypotheses,
     learn,
@@ -128,14 +127,7 @@ def test_criterion_4_brute_force_parity():
 def test_criterion_5_nemus_structural_invariants():
     with _gate(5, "index structural invariants on the corpus") as g:
         for kb in _corpus_kbs():
-            nemus = compile_kb(kb)
-            assert sum(len(bs) for bs in nemus.S) == sum(len(f.args) for f in kb.facts)
-            for c, bs in enumerate(nemus.S):
-                for b in bs:
-                    assert b.k == c
-                    assert atom_of(nemus, b.target.c, b.target.i).args[b.target.a - 1] == c
-            rebuilt = [atom_of(nemus, cs[0].args[0].c, cs[0].args[0].i) for cs in nemus.C]
-            assert rebuilt == list(kb.facts)
+            assert_index_invariants(kb, compile_kb(kb))
         g.detail = f"({CORPUS_SIZE} KBs)"
 
 

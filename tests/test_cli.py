@@ -19,6 +19,9 @@ MERGE_FAULT = (
     "#positive parent(jake, alice).\n#positive parent(zed, zoe).\n#max_body 2.\n"
 )
 
+# no task; a constant repeated within one fact, and a unary predicate
+FACTS_ONLY = "q(a, b).\nloop(b, b).\nu(a).\n"
+
 
 def run_cli(*argv, env_extra=None):
     import os
@@ -280,17 +283,40 @@ def test_learn_json_is_written_in_the_json_dumps_layout(tmp_path, capsys, kb_tex
     assert rc == (0 if doc["hypotheses"] else 1)
 
 
+# the phase-2 witness walk, auto-invention under negatives, and a fact that
+# repeats a constant, b1(c1, c1); no hypothesis verifies
+TRACE_EXIT = {"corpus312": 1}
+
+
 @pytest.mark.parametrize("name, kb_text", [
     ("family", FAMILY),
     ("collision", COLLISION),
     ("bridge", BRIDGE),
+    ("corpus312", random_kb(312)),
+    ("corpus424", random_kb(424)),  # an auto-invention that verifies
+    ("corpus105", random_kb(105)),
 ])
 def test_trace_stream_matches_golden(tmp_path, name, kb_text):
     p = tmp_path / f"{name}.kb"
     p.write_text(kb_text)
     proc = run_cli("learn", str(p), "--trace")
-    assert proc.returncode == 0
+    assert proc.returncode == TRACE_EXIT.get(name, 0)
     assert proc.stderr == (GOLDEN / f"{name}.trace.jsonl").read_text()
+
+
+@pytest.mark.parametrize("name, kb_text", [
+    ("family", FAMILY),
+    ("collision", COLLISION),  # negatives fill the negative predicate space
+    ("bridge", BRIDGE),
+    ("facts_only", FACTS_ONLY),
+    ("corpus312", random_kb(312)),
+])
+def test_dump_nemus_matches_golden(tmp_path, name, kb_text):
+    p = tmp_path / f"{name}.kb"
+    p.write_text(kb_text)
+    proc = run_cli("dump-nemus", str(p))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / f"{name}.nemus.json").read_text()
 
 
 def test_subcommands_in_one_process_match_fresh_calls(family_path, tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, render_set
 from corpus import random_kb
-from nemus_icl import engine
+from nemus_icl import engine, oracle
 from nemus_icl import (
     AntiSubstitution,
     Atom,
@@ -411,11 +411,37 @@ def test_untraced_learn_renders_nothing(monkeypatch):
 
 @pytest.mark.parametrize("kb_text", [
     pytest.param(BRIDGE, id="bridge"),
+    pytest.param(random_kb(312), id="corpus-312"),  # invents under negatives, then phase 2
+])
+def test_learn_walks_the_compiled_kb_in_one_context(monkeypatch, kb_text):
+    """learn reads the Bk and beta that compile_kb built: it compiles no
+    second Bk, decodes no fact with atom_of, and its invention sub-walk is a
+    call on the one _Walk it builds."""
+    kb = parse_kb(kb_text)
+    nemus = compile_kb(kb)
+    walks = []
+    real_init = engine._Walk.__init__
+    monkeypatch.setattr(engine._Walk, "__init__",
+                        lambda self, *args: walks.append(self) or real_init(self, *args))
+
+    def forbidden(*args):
+        raise AssertionError("called during learn")
+
+    monkeypatch.setattr(engine, "atom_of", forbidden)
+    monkeypatch.setattr(oracle.Bk, "__init__", forbidden)
+    records = []
+    learn(nemus, kb.task, trace=records.append)
+    assert len(walks) == 1
+    assert any(rec["action"] == "invent" for rec in records)
+
+
+@pytest.mark.parametrize("kb_text", [
+    pytest.param(BRIDGE, id="bridge"),
     *[pytest.param(random_kb(seed), id=f"corpus-{seed}") for seed in range(0, 500, 10)],
 ])
 def test_structural_set_keys_merge_as_rendered_text(monkeypatch, kb_text):
-    """The walk's clause-set keys, per-walk key memo included, merge exactly
-    the sets whose rendered clause sets are equal."""
+    """The walk's clause-set keys, key memo included, merge exactly the sets
+    whose rendered clause sets are equal."""
     kb = parse_kb(kb_text)
     structural = learn(compile_kb(kb), kb.task).hypotheses
     monkeypatch.setattr(engine._Walk, "set_key", lambda self, clauses: frozenset(

@@ -1,4 +1,4 @@
-"""Compiled index structure: spaces, bindings, beta/iota, similarity, dump."""
+"""Compiled KB structure: beta, atom_of, similarity, and the spaces of dump."""
 
 import json
 
@@ -6,35 +6,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_index_invariants
 from corpus import random_kb
 from nemus_icl import (
     ArityError,
-    Binding,
-    TNode,
+    GroundAtom,
     UnknownCode,
     UnknownInstance,
     atom_of,
     beta,
     compile_kb,
     dump,
-    iota,
     parse_kb,
     region_similarity,
 )
 
 
-def test_beta_alice_golden(family_nemus):
+def _binding(h, c, i, a, k):
+    return {"t": [h, c, i, a], "w": 1.0, "k": k}
+
+
+def test_beta_alice_golden(family_kb, family_nemus):
     # alice: arg 2 of father#1, arg 1 of mother#1, arg 2 of mother#2
-    assert beta(family_nemus, 1) == (
-        Binding(TNode(3, 0, 1, 2), 1.0, 1),
-        Binding(TNode(3, 1, 1, 1), 1.0, 1),
-        Binding(TNode(3, 1, 2, 2), 1.0, 1),
+    father, mother = 0, 1
+    jake, alice, ted, matilda = 0, 1, 2, 4
+    assert beta(family_nemus, alice) == (
+        GroundAtom(father, (jake, alice)),
+        GroundAtom(mother, (alice, ted)),
+        GroundAtom(mother, (matilda, alice)),
     )
+    assert dump(family_nemus)["constants"][alice]["bindings"] == [
+        _binding(3, father, 1, 2, alice),
+        _binding(3, mother, 1, 1, alice),
+        _binding(3, mother, 2, 2, alice),
+    ]
+    assert_index_invariants(family_kb, family_nemus)
 
 
 def test_beta_endpoints(family_nemus):
-    assert beta(family_nemus, 0) == (Binding(TNode(3, 0, 1, 1), 1.0, 0),)  # jake
-    assert beta(family_nemus, 3) == (Binding(TNode(3, 0, 2, 2), 1.0, 3),)  # bob
+    assert beta(family_nemus, 0) == (GroundAtom(0, (0, 1)),)  # jake: father(jake, alice)
+    assert beta(family_nemus, 3) == (GroundAtom(0, (2, 3)),)  # bob: father(ted, bob)
 
 
 def test_beta_example_only_constant():
@@ -50,31 +61,33 @@ def test_beta_out_of_range(family_nemus):
 
 
 def test_repeated_constant_positions():
-    nemus = compile_kb(parse_kb("p(a, b).\np(b, a).\n"))
-    # a occurs at arg 1 of instance 1 and arg 2 of instance 2
-    assert beta(nemus, 0) == (
-        Binding(TNode(3, 0, 1, 1), 1.0, 0),
-        Binding(TNode(3, 0, 2, 2), 1.0, 0),
-    )
+    kb = parse_kb("p(a, b).\np(b, a).\np(a, a).\n")
+    nemus = compile_kb(kb)
+    ab, ba, aa = kb.facts
+    # a occurs at arg 1 of instance 1, arg 2 of instance 2, and twice in
+    # instance 3, which beta lists once per occurrence
+    assert beta(nemus, 0) == (ab, ba, aa, aa)
+    doc = dump(nemus)
+    assert doc["constants"][0]["bindings"] == [
+        _binding(3, 0, 1, 1, 0),
+        _binding(3, 0, 2, 2, 0),
+        _binding(3, 0, 3, 1, 0),
+        _binding(3, 0, 3, 2, 0),
+    ]
     # occurrence counters climb per constant across the whole fact list
-    assert nemus.P.positive[0][0].args == (TNode(1, 0, 1, 1), TNode(1, 1, 1, 2))
-    assert nemus.P.positive[0][1].args == (TNode(1, 1, 2, 1), TNode(1, 0, 2, 2))
-
-
-def test_iota_first_match():
-    args = (TNode(1, 5, 1, 1), TNode(1, 7, 1, 2))
-    assert iota(5, args) == 0
-    assert iota(7, args) == 1
-    assert iota(9, args) is None  # NotFound is a value, not an exception
-    twice = (TNode(1, 5, 1, 1), TNode(1, 5, 2, 2))
-    assert iota(5, twice) == 0
+    assert [x["args"] for x in doc["predicates"]["positive"][0]["instances"]] == [
+        [[1, 0, 1, 1], [1, 1, 1, 2]],
+        [[1, 1, 2, 1], [1, 0, 2, 2]],
+        [[1, 0, 3, 1], [1, 0, 4, 2]],
+    ]
+    assert_index_invariants(kb, nemus)
 
 
 def test_atom_of_round_trip(family_kb, family_nemus):
+    doc = dump(family_nemus)
     for j, fact in enumerate(family_kb.facts):
-        cspace = family_nemus.C[j]
-        t = cspace[0].args[0]
-        assert atom_of(family_nemus, t.c, t.i) == fact
+        h, c, i, a = doc["clauses"][j]["instances"][0]["args"][0]
+        assert atom_of(family_nemus, c, i) == fact
 
 
 def test_atom_of_unknown_instance(family_nemus):
@@ -86,9 +99,10 @@ def test_atom_of_unknown_instance(family_nemus):
 
 def test_negative_examples_live_in_their_own_space(collision_kb, collision_nemus):
     p = collision_kb.task.target
-    assert len(collision_nemus.P.negative[p]) == 1
+    negative = dump(collision_nemus, collision_kb.task.negatives)["predicates"]["negative"]
+    assert len(negative[p]["instances"]) == 1
     b = collision_kb.symbols.constant_code("b")
-    assert collision_nemus.P.negative[p][0].args == (TNode(1, b, 1, 1),)
+    assert negative[p]["instances"][0]["args"] == [[1, b, 1, 1]]
     # and they contribute nothing to beta
     assert len(beta(collision_nemus, b)) == 1  # only p1(b, b1)
 
@@ -131,16 +145,7 @@ def test_dump_is_json_and_cross_referenced(family_nemus):
 @settings(max_examples=80, deadline=None)
 def test_corpus_structural_invariants(seed):
     kb = parse_kb(random_kb(seed))
-    nemus = compile_kb(kb)
-    # binding bijection: one beta binding per argument slot of the fact list
-    assert sum(len(bs) for bs in nemus.S) == sum(len(f.args) for f in kb.facts)
-    # beta-consistency
-    for c, bs in enumerate(nemus.S):
-        for b in bs:
-            assert b.k == c
-            assert atom_of(nemus, b.target.c, b.target.i).args[b.target.a - 1] == c
-    # compile/atom_of round-trip in clause-space order
-    assert [atom_of(nemus, cs[0].args[0].c, cs[0].args[0].i) for cs in nemus.C] == list(kb.facts)
+    assert_index_invariants(kb, compile_kb(kb))
 
 
 @given(st.integers(0, 499))
