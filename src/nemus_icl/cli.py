@@ -12,7 +12,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .engine import LearnTask, learn
 from .kb import (
@@ -49,8 +49,11 @@ def _fail(message: str, path: str = "", line=None, col=None) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise KbError(f"cannot read {path}: {exc}") from None
 
 
 def _flag(args, name: str):
@@ -143,6 +146,7 @@ def _cmd_learn(args) -> int:
         trace = lambda rec: print(json.dumps(rec), file=sys.stderr)
 
     result = learn(nemus, task, trace=trace)
+    stats = asdict(result.stats)
     sym = kb.symbols
     cfg = _config_dict("learn", args.kb, kb, task, args)
 
@@ -154,12 +158,6 @@ def _cmd_learn(args) -> int:
         sys.stdout.write('{\n  "hypotheses": [')
         for n, clauses in enumerate(result.hypotheses, 1):
             sys.stdout.write(_clauses_row(n, clauses, fragment) + "\n    }")
-        stats = {
-            "candidates": result.stats.candidates,
-            "pruned": result.stats.pruned,
-            "dropped": result.stats.dropped,
-            "frontier_peak": result.stats.frontier_peak,
-        }
         sys.stdout.write(("\n  ]" if result.hypotheses else "]")
                          + ',\n  "invented": ' + _indented([sym.render_sig(p) for p in result.invented], "  ")
                          + ',\n  "stats": ' + _indented(stats, "  ")
@@ -175,9 +173,7 @@ def _cmd_learn(args) -> int:
             print(_paint("no hypothesis.", "31", color))
         if result.invented:
             print("invented: " + ", ".join(sym.render_sig(p) for p in result.invented))
-        s = result.stats
-        print(f"stats: candidates={s.candidates} pruned={s.pruned} "
-              f"dropped={s.dropped} frontier_peak={s.frontier_peak}")
+        print("stats: " + " ".join(f"{k}={v}" for k, v in stats.items()))
         print(_config_line(cfg))
     return 0 if result.hypotheses else 1
 
@@ -185,9 +181,16 @@ def _cmd_learn(args) -> int:
 def _cmd_check(args) -> int:
     kb = parse_kb(_read(args.kb))
     task = _effective_task(kb, args)
-    clauses = parse_hypothesis(_read(args.hypothesis), kb.symbols)
-    verdict = verify(kb.facts, clauses, task.positives, task.negatives)
     sym = kb.symbols
+    try:
+        clauses = parse_hypothesis(_read(args.hypothesis), sym)
+        verdict = verify(kb.facts, clauses, task.positives, task.negatives)
+    except KbError as exc:
+        return _fail(exc.msg, args.hypothesis, exc.line, exc.col)
+    except RangeRestrictionFault as exc:
+        clause = exc.args[0]
+        return _fail(f"{args.hypothesis}: clause is not range-restricted: "
+                     + render_clause(clause.head, clause.body, sym))
     cfg = _config_dict("check", args.kb, kb, task, args)
     cfg["hypothesis"] = args.hypothesis
 
@@ -316,8 +319,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except KbError as exc:
         return _fail(exc.msg, kb_path, exc.line, exc.col)
-    except RangeRestrictionFault as exc:
-        return _fail(str(exc), kb_path)
     except FileNotFoundError as exc:
         return _fail(f"cannot read {exc.filename}")
     except OSError as exc:

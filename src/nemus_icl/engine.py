@@ -20,9 +20,9 @@ range-restricted clause solution within the body cap is found.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import chain, product
 from typing import Callable, NamedTuple, Optional
 
 from .kb import Atom, Clause, GroundAtom, Var, atom_vars, render_clause, render_ground_atom
@@ -245,13 +245,23 @@ def try_recursion(open_hyp: Hypothesis, next_atom, nemus: SharedNeMuS, tau: floa
 
 
 def _head(pred: int, example: GroundAtom):
-    """The example anti-unified as a head: its constants become X, Y, ... in
-    first-use order.  Returns (head atom, theta inverse)."""
-    theta = AntiSubstitution()
-    for c in example.args:
-        if c not in theta:
-            theta.bind(c, Var(len(theta)))
-    return Atom(pred, tuple(theta.get(c) for c in example.args)), theta
+    """The example anti-unified as a head of `pred`: its constants become X,
+    Y, ... in first-use order.  Returns (head atom, theta inverse, next fresh)."""
+    return anti_unify(GroundAtom(pred, example.args), AntiSubstitution(), 0)
+
+
+def _lockstep(pairs: dict, pos_atom, neg_atoms, skip=None) -> dict:
+    """Pair each constant of the positive-walk atom with the constant at the
+    same position of each negative-walk atom, the skip constant excepted;
+    counterparts keep first-seen order.  The input map is never mutated."""
+    out = pairs
+    for neg in neg_atoms:
+        for cp, cm in zip(pos_atom.args, neg.args):
+            if cp != skip and cm not in out.get(cp, ()):
+                if out is pairs:
+                    out = dict(pairs)
+                out[cp] = out.get(cp, ()) + (cm,)
+    return out
 
 
 def _clause_preds(clauses) -> set:
@@ -348,33 +358,14 @@ class _Walk:
                 defs.extend(self.bias_defs.get(bias.invented, ()))
         return tuple(defs) + tuple(clauses)
 
-    def momentum_verdict(self, cand, hook: int, state: Hypothesis, head_consts) -> str:
-        if hook in head_consts:
-            return NOT_APPLIED  # seeds are exempt; pairing starts at the mates
-        verdict = CONSISTENT
-        for m in state.pairs.get(hook, ()):
-            for l_minus in beta(self.nemus, m):
-                if inductive_momentum(cand, l_minus, hook, m) == INCONSISTENT:
-                    return INCONSISTENT
-        return verdict
-
-    def extended_pairs(self, pairs: dict, cand, hook: int) -> dict:
-        """Lockstep the negative walk: mates of same-predicate, same-position
-        colliders become the counterparts of the candidate's mates."""
-        out = None
-        k_pos = cand.args.index(hook)
+    def colliders(self, cand, hook: int, pairs: dict):
+        """The negative-walk atoms the candidate collides with at its hook:
+        the bindings of the hook's negative counterparts that inductive
+        momentum finds inconsistent with it, in pairing then binding order."""
         for m in pairs.get(hook, ()):
             for l_minus in beta(self.nemus, m):
-                if l_minus.pred != cand.pred or l_minus.args.index(m) != k_pos:
-                    continue
-                for cp, cm in zip(cand.args, l_minus.args):
-                    if cp == hook:
-                        continue
-                    if out is None:
-                        out = {c: tuple(v) for c, v in pairs.items()}
-                    if cm not in out.get(cp, ()):
-                        out[cp] = out.get(cp, ()) + (cm,)
-        return out if out is not None else pairs
+                if inductive_momentum(cand, l_minus, hook, m) == INCONSISTENT:
+                    yield l_minus
 
     # -- one positive example --
 
@@ -383,23 +374,17 @@ class _Walk:
         negatives; returns ordered verified sets."""
         results: dict = {}  # set_key -> clause tuple
 
-        head, theta = _head(target, e_pos)
+        head, theta, fresh = _head(target, e_pos)
+        head_vars = atom_vars(head)
         head_consts = set(e_pos.args)
         binary = len(e_pos.args) == 2
-
-        pairs: dict = {}
-        for neg in negatives:
-            for pos_c, neg_c in zip(e_pos.args, neg.args):
-                if neg_c not in pairs.get(pos_c, ()):
-                    pairs[pos_c] = pairs.get(pos_c, ()) + (neg_c,)
-
         root = Hypothesis(
             head=head,
             body=(),
             theta_inv=theta,
             frontier=(e_pos.args[0],),
-            pairs=pairs,
-            fresh=len(theta),
+            pairs=_lockstep({}, e_pos, negatives),
+            fresh=fresh,
         )
 
         def record(clauses, shown: Clause):
@@ -416,6 +401,8 @@ class _Walk:
         while queue:
             self.stats.frontier_peak = max(self.stats.frontier_peak, len(queue))
             state = queue.popleft()
+            body_vars = state.body_vars()
+            at_cap = len(state.body) + 1 >= self.task.max_body
             emitted_here = False
             extensions = []
 
@@ -425,24 +412,23 @@ class _Walk:
                     if cand in state.used:
                         self.emit_trace(hook, cand, NOT_APPLIED, "duplicate")
                         continue
-                    verdict = self.momentum_verdict(cand, hook, state, head_consts)
-                    if verdict == INCONSISTENT:
+                    if hook in head_consts:
+                        verdict = NOT_APPLIED  # seeds are exempt; pairing starts at the mates
+                    elif any(self.colliders(cand, hook, state.pairs)):
+                        verdict = INCONSISTENT
                         self.stats.pruned += 1
                         if not self.include_pruned:
                             self.emit_trace(hook, cand, verdict, "prune")
                             continue
+                    else:
+                        verdict = CONSISTENT
                     rewritten = self.rewrite(cand)
                     gen, theta2, fresh2 = anti_unify(rewritten, state.theta_inv, state.fresh)
+                    mates = tuple(dict.fromkeys(c for c in cand.args if c != hook))
 
-                    closes = atom_vars(head) <= (state.body_vars() | atom_vars(gen)) if binary \
-                        else (not self._mates(rewritten, hook) or len(state.body) + 1 >= self.task.max_body)
+                    closes = head_vars <= body_vars | atom_vars(gen) if binary else not mates or at_cap
                     recursion = None
-                    if (
-                        binary
-                        and state.body
-                        and rewritten.pred == state.body[-1].pred
-                        and len(rewritten.args) == 2
-                    ):
+                    if binary and state.body and rewritten.pred == state.body[-1].pred:
                         recursion = try_recursion(
                             state, gen, self.nemus, self.task.tau, hook=hook, sources_of=self.sources_of
                         )
@@ -459,11 +445,13 @@ class _Walk:
                     if closes or recursion is not None:
                         continue
 
-                    mates = self._mates(rewritten, hook)
-                    if len(state.body) + 1 >= self.task.max_body or not mates:
+                    if at_cap or not mates:
                         self.emit_trace(hook, cand, verdict, "dead-end")
                         continue
                     self.emit_trace(hook, cand, verdict, "extend")
+                    # a consistent candidate has no colliders to lockstep along
+                    pairs = state.pairs if verdict == CONSISTENT else \
+                        _lockstep(state.pairs, cand, self.colliders(cand, hook, state.pairs), skip=hook)
                     extensions.append(
                         replace(
                             state,
@@ -471,7 +459,7 @@ class _Walk:
                             theta_inv=theta2,
                             fresh=fresh2,
                             frontier=mates,
-                            pairs=self.extended_pairs(state.pairs, cand, hook),
+                            pairs=pairs,
                             used=state.used | {cand},
                         )
                     )
@@ -488,7 +476,7 @@ class _Walk:
                 and not emitted_here
                 and len(state.body) == self.task.max_body - 1
                 and state.frontier
-                and head.args[1].code not in state.body_vars()
+                and head.args[1].code not in body_vars
             ):
                 self._invent(state, head, e_pos, record)
 
@@ -513,15 +501,10 @@ class _Walk:
         single-clause solutions within max_body.  Stops at the first verified
         set.  No momentum, no bias, no invention here."""
         facts = self.nemus.bk.facts
-        head_consts = list(dict.fromkeys(e_pos.args))
-        binary = len(e_pos.args) == 2
+        head_consts = set(e_pos.args)
+        head, theta0, fresh0 = _head(self.task.target, e_pos)
 
-        head, theta0 = _head(self.task.target, e_pos)
-
-        seeds = []
-        for idx, f in enumerate(facts):
-            if set(f.args) & set(head_consts):
-                seeds.append((idx,))
+        seeds = [(idx,) for idx, f in enumerate(facts) if set(f.args) & head_consts]
         queue = deque(seeds)
         seen = {frozenset(s) for s in seeds}
 
@@ -532,16 +515,11 @@ class _Walk:
             for i in state:
                 consts.update(facts[i].args)
 
-            if set(head_consts) <= consts:
-                theta = dict(theta0.mapping)
-                body = []
+            if head_consts <= consts:
+                theta, fresh, body = theta0, fresh0, []
                 for i in state:
-                    terms = []
-                    for c in facts[i].args:
-                        if c not in theta:
-                            theta[c] = Var(len(theta))
-                        terms.append(theta[c])
-                    body.append(Atom(facts[i].pred, tuple(terms)))
+                    atom, theta, fresh = anti_unify(facts[i], theta, fresh)
+                    body.append(atom)
                 clause = Clause(head, tuple(body))
                 verdict = self.verdict((clause,), (e_pos,), self.task.negatives)
                 self.emit_trace(None, clause, NOT_APPLIED, "verified" if verdict.ok else "dropped", phase=2)
@@ -552,7 +530,7 @@ class _Walk:
 
             if len(state) >= self.task.max_body:
                 continue
-            reach = consts | set(head_consts)
+            reach = consts | head_consts
             for j, f in enumerate(facts):
                 if j in state or not (set(f.args) & reach):
                     continue
@@ -564,11 +542,6 @@ class _Walk:
                 seen.add(fs)
                 queue.append(nxt)
         return {}
-
-    # -- helpers --
-
-    def _mates(self, atom, hook: int) -> tuple:
-        return tuple(dict.fromkeys(c for c in atom.args if c != hook))
 
 
 def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bool = False) -> LearnResult:
@@ -590,13 +563,8 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
     if nonempty:
         # one choice per example, union, re-verify the merged set against
         # every example; with one positive the re-check is a memo hit
-        for combo in itertools.product(*nonempty):
-            merged = []
-            for clauses in combo:
-                for c in clauses:
-                    if c not in merged:
-                        merged.append(c)
-            merged = tuple(merged)
+        for combo in product(*nonempty):
+            merged = tuple(dict.fromkeys(chain.from_iterable(combo)))
             verdict = walk.verdict(merged, task.positives, task.negatives)
             if not verdict.ok:
                 walk.stats.dropped += 1
@@ -604,14 +572,13 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
                 continue
             hypotheses.setdefault(walk.set_key(merged), merged)
 
+    # a hypothesis predicate with no facts that is not the target was invented,
+    # by a bias or by the walk
     bk_preds = nemus.bk.relations
-    creatable = {b.invented for b in task.biases}
     invented = []
     for clauses in hypotheses.values():
         for p in sorted(_clause_preds(clauses)):
-            if p in bk_preds or p == task.target or p in invented:
-                continue
-            if p in creatable or walk.sym.predicate_sig(p)[0].startswith("inv_"):
+            if p not in bk_preds and p != task.target and p not in invented:
                 invented.append(p)
 
     return LearnResult(

@@ -393,12 +393,12 @@ class _Parser:
             name, arity, _, _ = self.parse_signature()
             invented = self.symbols.intern_predicate(name, arity)
             self.expect_keyword("from")
-            sources = [self._source_pred()]
+            sources = [self.parse_signature()]
             while self.peek().value == "," or (
                 self.peek().kind == "name" and self.peek().value == "or"
             ):
                 self.next()
-                sources.append(self._source_pred())
+                sources.append(self.parse_signature())
             payload = (invented, tuple(sources))
         elif kind == "max_body":
             v = self.expect("int")
@@ -418,10 +418,6 @@ class _Parser:
         self.expect("punct", ".")
         return Directive(kind, payload, t.line)
 
-    def _source_pred(self) -> tuple:
-        name, arity, line, col = self.parse_signature()
-        return name, arity, line, col
-
     def parse_english_directive(self) -> list:
         """consider induction on T knowing E [and [not] E'...]
         [assuming P1 [or P2...] defines NewP]."""
@@ -439,9 +435,9 @@ class _Parser:
             if not self.keyword("and"):
                 break
         if self.keyword("assuming"):
-            sources = [self._source_pred()]
+            sources = [self.parse_signature()]
             while self.keyword("or"):
-                sources.append(self._source_pred())
+                sources.append(self.parse_signature())
             self.expect_keyword("defines")
             iname, iarity, _, _ = self.parse_signature()
             invented = self.symbols.intern_predicate(iname, iarity)

@@ -34,7 +34,9 @@ class ArityError(Exception):
 
 @dataclass(frozen=True)
 class SharedNeMuS:
-    """Immutable compiled KB; share freely across learn tasks."""
+    """The compiled KB; share freely across learn tasks.  Its facts and
+    occurrences never change; learn interns the inv_N predicates it mints
+    into the shared symbol table."""
 
     bk: Bk  # the facts, compiled for the oracle and the witness walk
     occurrences: tuple  # per constant code: the facts it occurs in, once per argument occurrence

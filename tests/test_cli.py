@@ -142,6 +142,37 @@ def test_check_requires_hypothesis(family_path):
     assert proc.returncode == 2
 
 
+def test_check_hypothesis_syntax_error_is_located_in_the_hypothesis(family_path, tmp_path):
+    hyp = tmp_path / "bad.clauses"
+    hyp.write_text("parent(X,Y) :- father(X,Y).\nparent(X,Y :- mother(X,Y).\n")
+    proc = run_cli("check", family_path, "--hypothesis", str(hyp))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"nemus-icl: error: {hyp}:2:12: expected ')', found ':-'\n"
+
+
+def test_check_unrestricted_clause_is_rendered(tmp_path):
+    kb = tmp_path / "t.kb"
+    kb.write_text("p(a).\n#target q/1.\n#positive q(a).\n")
+    hyp = tmp_path / "loose.clauses"
+    hyp.write_text("q(X) :- p(Y).\n")
+    proc = run_cli("check", str(kb), "--hypothesis", str(hyp))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"nemus-icl: error: {hyp}: clause is not range-restricted: q(X) :- p(Y).\n"
+
+
+@pytest.mark.parametrize("command", ["learn", "check", "enumerate", "dump-nemus"])
+def test_input_that_is_not_utf8_exit_2(family_path, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"father(jake, alice).\n\xff\n")
+    argv = [command, str(bad)]
+    if command == "check":  # the hypothesis file is the one that cannot be read
+        argv = [command, family_path, "--hypothesis", str(bad)]
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"nemus-icl: error: cannot read {bad}: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_parse_error_exit_2_located(tmp_path):
     p = tmp_path / "bad.kb"
     p.write_text("father(jake alice).\n")

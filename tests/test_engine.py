@@ -1,5 +1,8 @@
 """The learner's primitives and full walks on the worked scenarios."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from nemus_icl import (
     learn,
     parse_kb,
     render_clause,
+    render_ground_atom,
     rho,
     try_recursion,
     verify,
@@ -255,6 +259,22 @@ def test_learn_collision_force_include(collision_kb, collision_nemus):
     ]
     assert qj_sets, "bypassed branch never reached the oracle"
     assert all(failed == GroundAtom(collision_kb.task.target, (b,)) for _, failed in qj_sets)
+
+
+def test_learn_collision_include_pruned_matches_golden(collision_kb, collision_nemus):
+    """With pruning bypassed, the pruned qj(bj,a1) extends and the negative
+    walk is lockstepped along its collider, which pairs bj with bj and makes
+    qj(bj,b1) collide in turn; no CLI run reaches this path.  The golden
+    holds the trace records, then one line per rejected set."""
+    records = []
+    result = learn(collision_nemus, collision_kb.task, trace=records.append, include_pruned=True)
+    sym = collision_kb.symbols
+    lines = [json.dumps(rec) for rec in records]
+    lines += [json.dumps({"rejected": [render_clause(c.head, c.body, sym) for c in cs],
+                          "failed": render_ground_atom(failed, sym)})
+              for cs, failed in result.rejected]
+    golden = Path(__file__).parent / "golden" / "collision.include_pruned.trace.jsonl"
+    assert "\n".join(lines) + "\n" == golden.read_text()
 
 
 def test_learn_bridge_invents():
