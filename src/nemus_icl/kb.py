@@ -484,6 +484,7 @@ def _validate(facts, directives, symbols: SymbolTable):
     tname, tarity = symbols.predicate_sig(target)
 
     fact_preds = {f.pred for f in facts}
+    fact_set = set(facts)
     positives, negatives, biases = [], [], []
     max_body, tau = 3, 0.2
     invented_codes = set()
@@ -495,6 +496,15 @@ def _validate(facts, directives, symbols: SymbolTable):
                     f"example predicate {symbols.render_sig(atom.pred)} does not match "
                     f"target {tname}/{tarity}",
                     d.line,
+                )
+            # no hypothesis can satisfy either contradiction
+            if atom in fact_set:
+                raise ValidationError(
+                    f"{d.kind} example {render_ground_atom(atom, symbols)} already appears as a fact", d.line
+                )
+            if atom in (negatives if d.kind == "positive" else positives):
+                raise ValidationError(
+                    f"example {render_ground_atom(atom, symbols)} is both positive and negative", d.line
                 )
             (positives if d.kind == "positive" else negatives).append(atom)
         elif d.kind == "invent":
@@ -523,12 +533,6 @@ def _validate(facts, directives, symbols: SymbolTable):
 
     if not positives:
         raise ValidationError("no #positive example for the target", targets[0].line)
-    fact_set = set(facts)
-    for atom in positives:
-        if atom in fact_set:
-            raise ValidationError(
-                f"positive example {render_ground_atom(atom, symbols)} already appears as a fact"
-            )
     return LearnTask(
         target=target,
         positives=tuple(positives),

@@ -13,6 +13,13 @@ Turner, ICLP 1994), so it fires once per compiled BK and keeps its head
 atoms.  Only the rules that read a derived predicate enter semi-naive
 evaluation (Bancilhon & Ramakrishnan 1986), whose joins fetch each atom after
 the delta atom through the index, as in Souffle (Jordan et al., CAV 2016).
+
+The examples are ground, so a verdict needs only the atoms they demand.  On a
+BK with at least DEMAND_MIN_CONSTANTS constants, verify rewrites the looped
+rules with generalized magic sets (Bancilhon, Maier, Sagiv & Ullman, PODS
+1986; Beeri & Ramakrishnan, JLP 1991), seeds one magic atom per example, and
+runs the same semi-naive loop over the rewrite.  On smaller BKs the rewrite
+costs more than the whole model saves, and verify builds the whole model.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ class Bk:
         self.constants = frozenset(c for rows in self.relations.values() for args in rows for c in args)
         self.atoms = frozenset(GroundAtom(p, args) for p, rows in self.relations.items() for args in rows)
         self._rules: dict = {}  # Clause -> _Rule
+        self._rewrites: dict = {}  # (looped _Rules, seeds) -> _magic_rewrite of them
 
     def rule(self, clause: Clause) -> "_Rule":
         """The compiled form of a rule; range restriction is checked on first use."""
@@ -107,6 +115,7 @@ class _Rule:
     BK it is compiled for, are made on first use."""
 
     def __init__(self, rule: Clause):
+        self.clause = rule
         self.pred = rule.head.pred
         self.body = rule.body
         self.arities = tuple((atom.pred, len(atom.args)) for atom in (rule.head, *rule.body))
@@ -203,16 +212,14 @@ def _extend(relations, index, fresh: dict):
                 entries.setdefault(key, []).append(args)
 
 
-def least_model(prog: Program) -> frozenset:
-    """Least fixpoint of the immediate-consequence step over the compiled BK.
-
-    A flat rule, whose body reads no predicate that a rule or ground unit of
-    the program derives, adds its kept matches over the BK.  Only the other
-    rules run the semi-naive (delta-driven) loop with indexed joins, seeded
-    with the units and the flat rules' atoms; without them no fixpoint runs."""
-    bk = _compiled(prog.facts)
+def _split(bk: Bk, clauses) -> tuple:
+    """(rules, units, derived predicates, flat atoms, looped rules) of a
+    program over the compiled BK, range restriction checked clause by clause
+    in order.  A flat rule, whose body reads no predicate that a rule or
+    ground unit of the program derives, contributes its kept matches over the
+    BK; only the looped rules need a fixpoint."""
     rules, units = [], []
-    for clause in prog.rules:
+    for clause in clauses:
         if clause.body:
             rules.append(bk.rule(clause))
         else:
@@ -225,35 +232,45 @@ def least_model(prog: Program) -> frozenset:
             fired.append(rule.bk_consequences(bk))
         else:
             looped.append(rule)
-    if not looped:
-        return bk.atoms.union(units, *fired)
+    return rules, units, derived_preds, fired, looped
 
-    # finite Herbrand base bounds the rounds; the cap is a tripwire, not a knob,
-    # and counts every rule and unit, the flat ones too
+
+def _hb_size(bk: Bk, atoms, rules) -> int:
+    """Size of the Herbrand base of the BK, the ground atoms and the rules.
+    The fixpoint's rounds are bounded by it; the cap is a tripwire, not a
+    knob, and counts every rule, the flat ones too."""
     arities = dict(bk.arities)
     constants = set()
-    for atom in units:
+    for atom in atoms:
         arities[atom.pred] = len(atom.args)
         constants.update(atom.args)
     for rule in rules:
         arities.update(rule.arities)
         constants |= rule.constants
     n_constants = len(bk.constants) + len(constants - bk.constants)
-    hb_size = sum(max(1, n_constants) ** a for a in arities.values())
+    return sum(max(1, n_constants) ** a for a in arities.values())
 
-    # copy-on-write: only the predicates the hypothesis derives get their own
-    # relation and index; every other one is the BK's, shared and never written
+
+def _seeded(bk: Bk, derived_preds, atoms) -> tuple:
+    """(relations, index) of the BK plus the atoms.  Copy-on-write: only the
+    derived predicates get their own relation and index; every other one is
+    the BK's, shared and never written."""
     relations = dict(bk.relations)
     index = dict(bk.index)
     for p in derived_preds:
         relations[p] = set(bk.relations.get(p, ()))
         index[p] = {key: list(rows) for key, rows in bk.index.get(p, _NO_INDEX).items()}
-    delta: dict = {}
-    for atom in itertools.chain(units, *fired):
+    fresh: dict = {}
+    for atom in atoms:
         if atom.args not in relations[atom.pred]:
-            delta.setdefault(atom.pred, set()).add(atom.args)
-    _extend(relations, index, delta)
+            fresh.setdefault(atom.pred, set()).add(atom.args)
+    _extend(relations, index, fresh)
+    return relations, index
 
+
+def _fixpoint(looped, relations, index, hb_size: int):
+    """Semi-naive (delta-driven) evaluation of the looped rules over the
+    relations and index, which it extends in place."""
     delta = None  # the first round applies every looped rule to the whole model
     rounds = 0
     while True:
@@ -283,25 +300,128 @@ def least_model(prog: Program) -> frozenset:
             break
         _extend(relations, index, delta)
 
+
+def least_model(prog: Program) -> frozenset:
+    """Least fixpoint of the immediate-consequence step over the compiled BK.
+
+    The flat rules add their kept matches over the BK.  Only the looped rules
+    run the semi-naive loop with indexed joins, seeded with the units and the
+    flat rules' atoms; without them no fixpoint runs."""
+    bk = _compiled(prog.facts)
+    rules, units, derived_preds, fired, looped = _split(bk, prog.rules)
+    if not looped:
+        return bk.atoms.union(units, *fired)
+    relations, index = _seeded(bk, derived_preds, itertools.chain(units, *fired))
+    _fixpoint(looped, relations, index, _hb_size(bk, units, rules))
     return bk.atoms.union(GroundAtom(p, args) for p in derived_preds for args in relations[p])
+
+
+# verify answers a BK with at least this many constants by demand.  On small
+# recursive programs the rewrite costs more than the whole model saves:
+# ungated, a pass of the corpus benchmark workload took 1.2x the CPU and one
+# of the enumerate workload 2x.  For a recursive path program over chains and
+# random digraphs the two break even at 12-16 constants; the gate keeps a margin.
+DEMAND_MIN_CONSTANTS = 32
+
+
+def _magic_rewrite(looped, seeds) -> tuple:
+    """Generalized magic sets (Bancilhon, Maier, Sagiv & Ullman, PODS 1986;
+    Beeri & Ramakrishnan, JLP 1991) over the looped rules, adorned from the
+    all-bound seeds and passing bindings left to right.
+
+    Returns (rules, adorned): the compiled rewritten rules, and the
+    (predicate, adornment) pairs they define.  The adorned relation of p is
+    keyed ("a", p, adornment) and its magic relation ("m", p, adornment):
+    tuples, which never equal an int predicate code.  The magic guard goes
+    last in every body, so a join plan reaches it as an indexed test."""
+    by_head: dict = {}
+    for rule in looped:
+        by_head.setdefault(rule.pred, []).append(rule.clause)
+    adorned = [(p, "b" * n) for p, n in seeds]
+    out = []
+    for p, adornment in adorned:  # grows as new adornments are met
+        for clause in by_head[p]:
+            head = clause.head
+            guard = Atom(("m", p, adornment), tuple(t for t, a in zip(head.args, adornment) if a == "b"))
+            bound = {t.code for t in guard.args if isinstance(t, Var)}
+            body = []
+            for atom in clause.body:
+                if atom.pred in by_head:
+                    pattern = "".join("f" if isinstance(t, Var) and t.code not in bound else "b"
+                                      for t in atom.args)
+                    demand = tuple(t for t, a in zip(atom.args, pattern) if a == "b")
+                    out.append(Clause(Atom(("m", atom.pred, pattern), demand), (*body, guard)))
+                    if (atom.pred, pattern) not in adorned:
+                        adorned.append((atom.pred, pattern))
+                    atom = Atom(("a", atom.pred, pattern), atom.args)
+                body.append(atom)
+                bound |= atom_vars(atom)
+            out.append(Clause(Atom(("a", p, adornment), head.args), (*body, guard)))
+    return tuple(map(_Rule, out)), tuple(adorned)
+
+
+def _demand_verdict(bk: Bk, clauses, positives, negatives) -> Verdict:
+    """verify's verdict from the atoms the examples demand.  The looped rules
+    are rewritten with magic sets, seeded with one magic atom per example
+    whose predicate they define, and run on the semi-naive loop; every other
+    example is answered from the BK, the units and the flat atoms.  Each
+    adorned relation starts with its predicate's BK facts, units and flat
+    atoms, all of which are in the least model."""
+    rules, units, derived_preds, fired, looped = _split(bk, clauses)
+    relations, index = _seeded(bk, derived_preds, itertools.chain(units, *fired))
+    examples = (*positives, *negatives)
+    heads = {rule.pred for rule in looped}
+    demanded = [e for e in examples if e.pred in heads]
+    if demanded:
+        seeds = tuple(sorted({(e.pred, len(e.args)) for e in demanded}))
+        key = (tuple(looped), seeds)
+        rewrite = bk._rewrites.get(key)
+        if rewrite is None:
+            rewrite = bk._rewrites[key] = _magic_rewrite(looped, seeds)
+        magic_rules, adorned = rewrite
+        for p, adornment in adorned:
+            for rel in (("a", p, adornment), ("m", p, adornment)):
+                relations[rel], index[rel] = set(), {}
+        fresh = {("a", p, adornment): relations[p] for p, adornment in adorned}
+        for e in demanded:
+            fresh.setdefault(("m", e.pred, "b" * len(e.args)), set()).add(e.args)
+        _extend(relations, index, fresh)
+        _fixpoint(magic_rules, relations, index, _hb_size(bk, itertools.chain(units, examples),
+                                                           itertools.chain(rules, magic_rules)))
+
+    def holds(e) -> bool:
+        pred = ("a", e.pred, "b" * len(e.args)) if e.pred in heads else e.pred
+        return e.args in relations.get(pred, ())
+
+    return _verdict(holds, positives, negatives)
+
+
+def _verdict(holds, positives, negatives) -> Verdict:
+    """The first positive that does not hold, else the first negative that
+    does, else VERIFIED."""
+    for e in positives:
+        if not holds(e):
+            return Verdict(False, e)
+    for e in negatives:
+        if holds(e):
+            return Verdict(False, e)
+    return VERIFIED
 
 
 def verify(bk, hypothesis, positives, negatives) -> Verdict:
     """Verified iff every positive is in least_model(bk + hypothesis) and no
     negative is.  bk is a compiled Bk or an iterable of facts; ground unit
-    clauses in the hypothesis count as facts."""
+    clauses in the hypothesis count as facts.  A BK with at least
+    DEMAND_MIN_CONSTANTS constants is answered by a magic-set rewrite, with
+    the same verdict, instead of the whole model."""
     clauses = list(hypothesis)
     for clause in clauses:
         if not clause.body and not is_ground(clause.head):
             raise RangeRestrictionFault(clause)
-    model = least_model(Program(bk, clauses))
-    for e in positives:
-        if e not in model:
-            return Verdict(False, e)
-    for e in negatives:
-        if e in model:
-            return Verdict(False, e)
-    return VERIFIED
+    bk = _compiled(bk)
+    if len(bk.constants) >= DEMAND_MIN_CONSTANTS:
+        return _demand_verdict(bk, clauses, positives, negatives)
+    return _verdict(least_model(Program(bk, clauses)).__contains__, positives, negatives)
 
 
 # --- brute-force enumeration ------------------------------------------------

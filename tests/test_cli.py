@@ -183,6 +183,20 @@ def test_parse_error_exit_2_located(tmp_path):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("directives, where, msg", [
+    pytest.param("#positive t(b, a).\n#negative t(a, b).\n", 4,
+                 "negative example t(a,b) already appears as a fact", id="negative-fact"),
+    pytest.param("#positive t(b, a).\n#negative t(b, a).\n", 4,
+                 "example t(b,a) is both positive and negative", id="positive-and-negative"),
+])
+def test_contradictory_examples_exit_2_located(tmp_path, directives, where, msg):
+    p = tmp_path / "t.kb"
+    p.write_text("t(a, b).\n#target t/2.\n" + directives)
+    proc = run_cli("learn", str(p))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"nemus-icl: error: {p}:{where}:0: {msg}\n"
+
+
 def test_missing_file_exit_2(tmp_path):
     proc = run_cli("learn", str(tmp_path / "missing.kb"))
     assert proc.returncode == 2
@@ -333,6 +347,17 @@ def test_trace_stream_matches_golden(tmp_path, name, kb_text):
     proc = run_cli("learn", str(p), "--trace")
     assert proc.returncode == TRACE_EXIT.get(name, 0)
     assert proc.stderr == (GOLDEN / f"{name}.trace.jsonl").read_text()
+
+
+@pytest.mark.parametrize("name", ["chain60", "grid6"])
+def test_large_graph_learn_matches_golden(capsys, monkeypatch, name):
+    """Graph KBs whose recursive verdicts come from the magic-set rewrite;
+    the goldens were taken when verify built every whole least model."""
+    monkeypatch.chdir(GOLDEN)  # the JSON echoes the KB path
+    assert main(["learn", f"{name}.kb", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.learn.json").read_text()
+    assert main(["learn", f"{name}.kb", "--trace"]) == 0
+    assert capsys.readouterr().err == (GOLDEN / f"{name}.trace.jsonl").read_text()
 
 
 @pytest.mark.parametrize("name, kb_text", [

@@ -115,8 +115,25 @@ def test_example_predicate_must_match_target():
 
 
 def test_positive_already_a_fact():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         parse_kb("t(a, b).\n#target t/2.\n#positive t(a, b).\n")
+    assert (exc.value.msg, exc.value.line) == ("positive example t(a,b) already appears as a fact", 3)
+
+
+@pytest.mark.parametrize("text, line, msg", [
+    pytest.param("t(a, b).\n#target t/2.\n#positive t(b, a).\n#negative t(a, b).\n", 4,
+                 "negative example t(a,b) already appears as a fact", id="negative-fact"),
+    pytest.param("q(a, b).\n#target t/2.\n#positive t(a, b).\n#negative t(a, b).\n", 4,
+                 "example t(a,b) is both positive and negative", id="positive-then-negative"),
+    pytest.param("q(a, b).\n#target t/2.\n#negative t(a, b).\n#positive t(b, a).\n#positive t(a, b).\n", 5,
+                 "example t(a,b) is both positive and negative", id="negative-then-positive"),
+])
+def test_contradictory_example_rejected_at_its_directive(text, line, msg):
+    """No hypothesis satisfies an example that contradicts a fact or another
+    example; the directive that makes the contradiction is the one named."""
+    with pytest.raises(ValidationError) as exc:
+        parse_kb(text)
+    assert (exc.value.msg, exc.value.line) == (msg, line)
 
 
 def test_missing_positive():

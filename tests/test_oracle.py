@@ -199,6 +199,11 @@ def _naive_model(facts, clauses) -> frozenset:
         model |= new
 
 
+def _naive_verdict(model, positives, negatives) -> Verdict:
+    failed = [e for e in positives if e not in model] + [e for e in negatives if e in model]
+    return Verdict(False, failed[0]) if failed else Verdict(True, None)
+
+
 @given(
     st.lists(GROUND, max_size=10),
     st.lists(st.one_of(_rule(), UNIT), min_size=1, max_size=4),
@@ -215,10 +220,13 @@ def test_compiled_model_and_verdict_match_naive_fixpoint(facts, clauses, positiv
     assert least_model(Program(facts, clauses)) == expected
     assert bk.relations == Bk(facts).relations and bk.index == Bk(facts).index
 
-    failed = [e for e in positives if e not in expected] + [e for e in negatives if e in expected]
-    want = Verdict(False, failed[0]) if failed else Verdict(True, None)
+    want = _naive_verdict(expected, positives, negatives)
     assert verify(bk, clauses, positives, negatives) == want
     assert verify(facts, clauses, positives, negatives) == want
+    # the demand path, which verify takes on BKs of DEMAND_MIN_CONSTANTS constants
+    assert oracle._demand_verdict(bk, clauses, positives, negatives) == want
+    assert oracle._demand_verdict(bk, clauses, positives, negatives) == want
+    assert bk.relations == Bk(facts).relations and bk.index == Bk(facts).index
 
 
 @st.composite
@@ -254,10 +262,53 @@ def test_programs_sharing_clauses_over_one_bk_match_naive_fixpoint(data):
                 data.draw(others) + [data.draw(_deriving({atom.pred for atom in shared[0].body}))] + shared]
     if data.draw(st.booleans()):
         programs.reverse()
+    positives, negatives = data.draw(st.lists(GROUND, max_size=3)), data.draw(st.lists(GROUND, max_size=3))
     bk = Bk(facts)
     for clauses in programs + programs:
-        assert least_model(Program(bk, clauses)) == _naive_model(facts, clauses)
+        expected = _naive_model(facts, clauses)
+        assert least_model(Program(bk, clauses)) == expected
+        # the magic-set rewrites cached on the Bk are each program's own
+        want = _naive_verdict(expected, positives, negatives)
+        assert oracle._demand_verdict(bk, clauses, positives, negatives) == want
     assert bk.relations == Bk(facts).relations and bk.index == Bk(facts).index
+
+
+EDGE, PATH = 0, 1
+PATH_RULES = [
+    Clause(Atom(PATH, (Var(0), Var(1))), (Atom(EDGE, (Var(0), Var(1))),)),
+    Clause(Atom(PATH, (Var(0), Var(1))), (Atom(EDGE, (Var(0), Var(2))), Atom(PATH, (Var(2), Var(1))))),
+]
+
+
+def _chain(n: int) -> list:
+    return [GroundAtom(EDGE, (i, i + 1)) for i in range(n - 1)]
+
+
+def test_verify_on_a_large_bk_answers_by_demand(monkeypatch):
+    def whole_model(prog):
+        raise AssertionError("least_model called above the gate")
+
+    monkeypatch.setattr(oracle, "least_model", whole_model)
+    bk = Bk(_chain(200))
+    path = lambda a, b: GroundAtom(PATH, (a, b))
+    assert verify(bk, PATH_RULES, [path(0, 199), path(150, 160)], [path(199, 0)]) == Verdict(True, None)
+    assert verify(bk, PATH_RULES, [path(0, 199), path(5, 3), path(7, 6)], []) == Verdict(False, path(5, 3))
+    assert verify(bk, PATH_RULES, [path(3, 9)], [path(9, 3), path(2, 120), path(0, 1)]) == \
+        Verdict(False, path(2, 120))
+    assert verify(bk, PATH_RULES[:1], [path(0, 1)], [path(0, 2)]) == Verdict(True, None)
+
+
+def test_verify_below_the_gate_builds_the_whole_model(monkeypatch):
+    calls = []
+    real = oracle.least_model
+    monkeypatch.setattr(oracle, "least_model", lambda prog: calls.append(prog) or real(prog))
+    examples = [GroundAtom(PATH, (0, 30))], [GroundAtom(PATH, (30, 0))]
+    bk = Bk(_chain(oracle.DEMAND_MIN_CONSTANTS - 1))
+    assert len(bk.constants) == 31
+    assert verify(bk, PATH_RULES, *examples).ok
+    assert len(calls) == 1
+    assert verify(Bk(_chain(oracle.DEMAND_MIN_CONSTANTS)), PATH_RULES, *examples).ok
+    assert len(calls) == 1
 
 
 def test_rule_flat_in_one_program_reads_derived_in_the_next():
