@@ -113,7 +113,7 @@ class Stats:
 
 @dataclass
 class LearnResult:
-    hypotheses: tuple  # of clause tuples; every set is oracle-verified
+    hypotheses: tuple  # of clause tuples; every set passes the oracle on the task
     invented: tuple  # predicate codes created and used by the hypotheses
     stats: Stats
     rejected: tuple = ()  # (clause tuple, failing example) for dropped emissions
@@ -545,31 +545,38 @@ class _Walk:
 
 
 def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bool = False) -> LearnResult:
-    """Run the full search for every positive example and merge the results.
+    """Run the full search for each distinct positive example and merge the
+    results.
 
-    Every returned clause set is oracle-verified; an unreachable target yields
-    an empty result with stats rather than an error.
+    Every returned clause set passes the oracle on the whole task; an
+    unreachable target yields an empty result with stats rather than an error.
     """
     walk = _Walk(nemus, task, trace, include_pruned)
     per_example = []
-    for e_pos in task.positives:
+    for e_pos in dict.fromkeys(task.positives):  # a repeated positive is walked once
         sets = walk.learn_positive(e_pos, task.target, task.negatives)
         if not sets:
             sets = walk.witness_walk(e_pos)
         per_example.append(sets)
 
     nonempty = [list(r.values()) for r in per_example if r]
+    uncovered = len(nonempty) < len(per_example)
     hypotheses: dict = {}
     if nonempty:
-        # one choice per example, union, re-verify the merged set against
-        # every example; with one positive the re-check is a memo hit
+        # one choice per example, union.  Each set was verified against its
+        # own positive and every negative, and the least model is monotone in
+        # the program: the union derives each positive one of its sets derives,
+        # and a union equal to one of its sets derives no negative.  So it is
+        # re-verified only when a positive has no set, or when two sets
+        # together might derive a negative.
         for combo in product(*nonempty):
             merged = tuple(dict.fromkeys(chain.from_iterable(combo)))
-            verdict = walk.verdict(merged, task.positives, task.negatives)
-            if not verdict.ok:
-                walk.stats.dropped += 1
-                walk.rejected.append((merged, verdict.failed))
-                continue
+            if uncovered or (task.negatives and len(merged) > max(map(len, combo))):
+                verdict = walk.verdict(merged, task.positives, task.negatives)
+                if not verdict.ok:
+                    walk.stats.dropped += 1
+                    walk.rejected.append((merged, verdict.failed))
+                    continue
             hypotheses.setdefault(walk.set_key(merged), merged)
 
     # a hypothesis predicate with no facts that is not the target was invented,

@@ -8,21 +8,29 @@ facts) and 0-2 negatives; no facts for the target predicate; max_body mostly 2.
 import random
 
 
-def random_kb(seed: int) -> str:
-    rng = random.Random(seed)
+def _random_facts(rng: random.Random, max_facts: int) -> tuple:
+    """(constants, facts) with each fact a (pred, args) pair."""
     consts = [f"c{i}" for i in range(rng.randint(2, 8))]
     binary = [f"b{i}" for i in range(rng.randint(1, 5))]
     unary = [f"u{i}" for i in range(rng.randint(0, 3))]
-
-    lines = [f"% corpus kb seed={seed}"]
-    fact_consts = []
-    for _ in range(rng.randint(1, 30)):
+    facts = []
+    for _ in range(rng.randint(1, max_facts)):
         if unary and rng.random() < 0.3:
-            pred, args = rng.choice(unary), (rng.choice(consts),)
+            facts.append((rng.choice(unary), (rng.choice(consts),)))
         else:
-            pred, args = rng.choice(binary), (rng.choice(consts), rng.choice(consts))
-        fact_consts.extend(args)
-        lines.append(f"{pred}({', '.join(args)}).")
+            facts.append((rng.choice(binary), (rng.choice(consts), rng.choice(consts))))
+    return consts, facts
+
+
+def _fact_lines(facts) -> list:
+    return [f"{pred}({', '.join(args)})." for pred, args in facts]
+
+
+def random_kb(seed: int) -> str:
+    rng = random.Random(seed)
+    consts, facts = _random_facts(rng, 30)
+    lines = [f"% corpus kb seed={seed}"] + _fact_lines(facts)
+    fact_consts = [c for _, args in facts for c in args]
 
     def example_const():
         # usually a constant that actually occurs somewhere
@@ -40,6 +48,34 @@ def random_kb(seed: int) -> str:
             lines.append(f"#negative tgt({', '.join(e_neg)}).")
     max_body = 2 if rng.random() < 0.85 else 3
     lines.append(f"#max_body {max_body}.")
+    return "\n".join(lines) + "\n"
+
+
+def multi_positive_kb(seed: int, n_positives: int, unsupported: bool) -> str:
+    """A corpus-shaped KB with n_positives positives taken from its own facts
+    (fewer when the facts have too few), plus one on a constant no fact
+    mentions when `unsupported` or when fewer than two were taken; 0-2
+    negatives; up to 12 facts and max_body 2, so the merge stays small."""
+    rng = random.Random(f"multi_positive:{seed}")
+    _, facts = _random_facts(rng, 12)
+    arity = rng.choice([1, 2])
+    if arity == 2:
+        pool = sorted({args for _, args in facts if len(args) == 2})
+    else:
+        pool = sorted({(c,) for _, args in facts for c in args})
+    positives = rng.sample(pool, min(n_positives, len(pool)))
+    if unsupported or len(positives) < 2:
+        positives.append(("z",) * arity)
+    fact_consts = [c for _, args in facts for c in args]
+    negatives = []
+    for _ in range(rng.randint(0, 2)):
+        neg = tuple(rng.choice(fact_consts) for _ in range(arity))
+        if neg not in positives and neg not in negatives:
+            negatives.append(neg)
+    lines = _fact_lines(facts) + [f"#target tgt/{arity}."]
+    lines += [f"#positive tgt({', '.join(e)})." for e in positives]
+    lines += [f"#negative tgt({', '.join(e)})." for e in negatives]
+    lines.append("#max_body 2.")
     return "\n".join(lines) + "\n"
 
 

@@ -1,14 +1,16 @@
 """The learner's primitives and full walks on the worked scenarios."""
 
 import json
+import math
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, render_set
-from corpus import random_kb
+from corpus import multi_positive_kb, random_kb
 from nemus_icl import engine, oracle
 from nemus_icl import (
     AntiSubstitution,
@@ -332,6 +334,92 @@ def test_learn_one_covered_positive_is_rechecked_against_all():
     result = learn(compile_kb(kb), kb.task)
     assert result.hypotheses == ()
     assert result.rejected[-1][1] == kb.task.positives[1]
+
+
+REFERENCE_MERGE_CAP = 2000  # unions the reference re-verifies, one oracle call each
+
+
+def reference_learn(nemus, task, include_pruned):
+    """learn() with the merge re-verifying every union against every example."""
+    walk = engine._Walk(nemus, task, None, include_pruned)
+    per_example = []
+    for e_pos in task.positives:
+        sets = walk.learn_positive(e_pos, task.target, task.negatives)
+        per_example.append(sets or walk.witness_walk(e_pos))
+    nonempty = [list(r.values()) for r in per_example if r]
+    assume(math.prod(map(len, nonempty)) <= REFERENCE_MERGE_CAP)
+    hypotheses = {}
+    for combo in product(*nonempty) if nonempty else ():
+        merged = tuple(dict.fromkeys(chain.from_iterable(combo)))
+        verdict = walk.verdict(merged, task.positives, task.negatives)
+        if verdict.ok:
+            hypotheses.setdefault(walk.set_key(merged), merged)
+        else:
+            walk.stats.dropped += 1
+            walk.rejected.append((merged, verdict.failed))
+    invented = []
+    for clauses in hypotheses.values():
+        for p in sorted(engine._clause_preds(clauses)):
+            if p not in nemus.bk.relations and p != task.target and p not in invented:
+                invented.append(p)
+    return tuple(hypotheses.values()), tuple(invented), walk.stats, tuple(walk.rejected)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans(), st.booleans())
+@example(440, 2, False, False)  # two covering sets that together derive a negative
+@settings(max_examples=80, deadline=None)
+def test_merge_verifies_only_unions_that_can_fail(seed, n_positives, unsupported, include_pruned):
+    """Skipping the re-verification of unions that monotonicity settles
+    changes no hypothesis, invented predicate, counter or rejection."""
+    kb = parse_kb(multi_positive_kb(seed, n_positives, unsupported))
+    expected = reference_learn(compile_kb(kb), kb.task, include_pruned)
+    kb = parse_kb(multi_positive_kb(seed, n_positives, unsupported))
+    result = learn(compile_kb(kb), kb.task, include_pruned=include_pruned)
+    assert (result.hypotheses, result.invented, result.stats, result.rejected) == expected
+
+
+def test_merge_without_negatives_calls_the_oracle_only_per_positive(monkeypatch):
+    """Three covered positives and no negatives: every union derives every
+    positive, so the merge makes no verify call of its own."""
+    kb = parse_kb(
+        "f(a, b).\ng(a, b).\nf(c, d).\ng(c, d).\nf(e, h).\n#target t/2.\n"
+        "#positive t(a, b).\n#positive t(c, d).\n#positive t(e, h).\n#max_body 2.\n"
+    )
+    calls = []
+    real = engine.verify
+    monkeypatch.setattr(engine, "verify",
+                        lambda bk, clauses, pos, neg: calls.append(pos) or real(bk, clauses, pos, neg))
+    result = learn(compile_kb(kb), kb.task)
+    assert calls and all(len(positives) == 1 for positives in calls)
+    shown = [render_set(h, kb.symbols) for h in result.hypotheses]
+    assert {"t(X,Y) :- f(X,Y).", "t(X,Y) :- g(X,Y)."} in shown  # a union larger than its sets
+    for clauses in result.hypotheses:
+        assert verify(kb.facts, clauses, kb.task.positives, kb.task.negatives).ok
+
+
+def test_merge_rechecks_a_union_that_can_derive_a_negative():
+    """The recursive pair of t(a, c) and the clause of t(p, q) each derive
+    no negative, but together they chain e(m, p) and g(p, q) into t(m, q)."""
+    kb = parse_kb(
+        "e(a, b).\ne(b, c).\ne(m, p).\ng(p, q).\n#target t/2.\n"
+        "#positive t(a, c).\n#positive t(p, q).\n#negative t(m, q).\n#max_body 2.\n"
+    )
+    result = learn(compile_kb(kb), kb.task)
+    recursive = {"t(X,Y) :- e(X,Y).", "t(X,Y) :- e(X,Z0), t(Z0,Y)."}
+    negative = kb.task.negatives[0]
+    assert any(recursive <= render_set(h, kb.symbols) and failed == negative for h, failed in result.rejected)
+    assert result.hypotheses
+    assert not any(recursive <= render_set(h, kb.symbols) for h in result.hypotheses)
+
+
+def test_learn_walks_a_repeated_positive_once():
+    text = random_kb(347)
+    repeated = text.replace("#positive tgt(c1).\n", "#positive tgt(c1).\n" * 2)
+    assert repeated != text
+    once, twice = parse_kb(text), parse_kb(repeated)
+    a, b = learn(compile_kb(once), once.task), learn(compile_kb(twice), twice.task)
+    assert len(a.hypotheses) == 320
+    assert (b.hypotheses, b.invented, b.stats, b.rejected) == (a.hypotheses, a.invented, a.stats, a.rejected)
 
 
 def test_learn_calls_share_no_verdicts():
