@@ -2,7 +2,8 @@
 
 The package splits into four layers:
 
-* :mod:`nemus_icl.kb` — the KB file language: interning, parsing, rendering;
+* :mod:`nemus_icl.kb` — the KB file language: interning, parsing, rendering,
+  and the task types it builds (``LearnTask``, ``InventionBias``);
 * :mod:`nemus_icl.nemus` — the compiled KB the learner walks (beta returns
   a constant's facts; dump is the view of the paper's spaces);
 * :mod:`nemus_icl.engine` — the learner (momentum pruning, anti-unification,
@@ -14,18 +15,14 @@ The package splits into four layers:
 from .engine import (
     AntiSubstitution,
     Hypothesis,
-    InventionBias,
     LearnResult,
-    LearnTask,
     PreconditionFault,
     Stats,
     anti_unify,
     apply_bias,
-    attribute_mates,
     inductive_momentum,
     invent_auto,
     learn,
-    rho,
     try_recursion,
 )
 from .kb import (
@@ -33,8 +30,10 @@ from .kb import (
     Clause,
     Directive,
     GroundAtom,
+    InventionBias,
     KbError,
     KnowledgeBase,
+    LearnTask,
     ParseError,
     SymbolTable,
     UnknownCode,
@@ -77,9 +76,9 @@ __all__ = [
     "PreconditionFault", "Program", "RangeRestrictionFault",
     "SharedNeMuS", "Stats", "SymbolTable", "UnknownCode",
     "UnknownInstance", "ValidationError", "Var",
-    "Verdict", "anti_unify", "apply_bias", "atom_of", "attribute_mates",
+    "Verdict", "anti_unify", "apply_bias", "atom_of",
     "beta", "clause_key", "compile_kb", "dump", "enumerate_hypotheses",
     "inductive_momentum", "invent_auto", "learn", "least_model",
     "parse_hypothesis", "parse_kb", "region_similarity", "render_clause",
-    "render_ground_atom", "render_kb", "rho", "try_recursion", "verify",
+    "render_ground_atom", "render_kb", "try_recursion", "verify",
 ]

@@ -14,15 +14,16 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from .engine import LearnTask, learn
+from .engine import learn
 from .kb import (
     KbError,
+    LearnTask,
     parse_hypothesis,
     parse_kb,
+    read_setting,
     render_clause,
     render_clause_atoms,
     render_ground_atom,
-    setting_error,
 )
 from .nemus import compile_kb, dump
 from .oracle import EnumCaps, RangeRestrictionFault, enumerate_hypotheses, verify
@@ -56,15 +57,11 @@ def _read(path: str) -> str:
         raise KbError(f"cannot read {path}: {exc}") from None
 
 
-def _flag(args, name: str):
-    """The flag's value, or None when it is not given; an out-of-range value
-    is an input error, checked as the file directives are."""
-    value = getattr(args, name, None)
-    if value is not None:
-        problem = setting_error(name, value)
-        if problem:
-            raise KbError(f"--{name.replace('_', '-')} {value}: {problem}")
-    return value
+def _flag(args, name: str, default=None):
+    """The flag's value, or the default when it is not given; the value is
+    read and range-checked as the file directive is."""
+    text = getattr(args, name, None)
+    return default if text is None else read_setting(name, text)
 
 
 def _effective_task(kb, args) -> LearnTask:
@@ -218,8 +215,8 @@ def _cmd_enumerate(args) -> int:
     task = _effective_task(kb, args)
     caps = EnumCaps(
         max_body=task.max_body,
-        max_clauses=_flag(args, "max_clauses"),
-        max_vars=_flag(args, "max_vars"),
+        max_clauses=_flag(args, "max_clauses", EnumCaps().max_clauses),
+        max_vars=_flag(args, "max_vars", EnumCaps().max_vars),
     )
     limit = _flag(args, "limit")
     sym = kb.symbols
@@ -277,10 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, tau_flag=True):
         sp.add_argument("kb", help="knowledge-base file (facts + directives)")
-        sp.add_argument("--max-body", type=int, default=None, metavar="N",
+        sp.add_argument("--max-body", metavar="N",
                         help="body-literal cap; overrides the file directive")
         if tau_flag:
-            sp.add_argument("--tau", type=float, default=None, metavar="R",
+            sp.add_argument("--tau", metavar="R",
                             help="region-similarity threshold; overrides the file directive")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -304,9 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="brute-force candidate stream with verdicts")
     common(sp, tau_flag=False)
-    sp.add_argument("--max-clauses", type=int, default=EnumCaps().max_clauses, metavar="N")
-    sp.add_argument("--max-vars", type=int, default=EnumCaps().max_vars, metavar="N")
-    sp.add_argument("--limit", type=int, default=None, metavar="N",
+    sp.add_argument("--max-clauses", metavar="N")
+    sp.add_argument("--max-vars", metavar="N")
+    sp.add_argument("--limit", metavar="N",
                     help="stop after N candidate sets")
     sp.set_defaults(func=_cmd_enumerate)
     return p

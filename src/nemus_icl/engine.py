@@ -23,9 +23,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, product
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
-from .kb import Atom, Clause, GroundAtom, Var, atom_vars, render_clause, render_ground_atom
+from .kb import Atom, Clause, GroundAtom, LearnTask, Var, atom_vars, render_clause, render_ground_atom
 # atom_of is unused here; perfbench/tracer.py wraps it by the name engine.atom_of
 from .nemus import SharedNeMuS, atom_of, beta, region_similarity
 from .oracle import Verdict, clause_key, verify
@@ -34,27 +34,9 @@ CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 NOT_APPLIED = "n/a"
 
-OPEN = "open"
-CLOSED = "closed"
-
 
 class PreconditionFault(Exception):
     pass
-
-
-class InventionBias(NamedTuple):
-    invented: int
-    sources: tuple  # predicate codes sharing the invented predicate's arity
-
-
-@dataclass(frozen=True)
-class LearnTask:
-    target: int
-    positives: tuple
-    negatives: tuple = ()
-    biases: tuple = ()
-    max_body: int = 3
-    tau: float = 0.2
 
 
 class AntiSubstitution:
@@ -66,9 +48,6 @@ class AntiSubstitution:
 
     def get(self, const: int) -> Optional[Var]:
         return self.mapping.get(const)
-
-    def const_of(self, var: Var) -> Optional[int]:
-        return self.inverse.get(var)
 
     def bind(self, const: int, var: Var):
         if const in self.mapping or var in self.inverse:
@@ -88,12 +67,11 @@ class AntiSubstitution:
 
 @dataclass
 class Hypothesis:
-    """An open or closed hypothesis branch with its walk bookkeeping."""
+    """An open hypothesis branch with its walk bookkeeping."""
 
     head: Atom
     body: tuple
     theta_inv: AntiSubstitution
-    status: str = OPEN
     frontier: tuple = ()  # constants whose bindings extend this branch next
     pairs: dict = field(default_factory=dict)  # positive const -> negative counterparts
     used: frozenset = frozenset()  # ground atoms consumed on this branch
@@ -119,18 +97,7 @@ class LearnResult:
     rejected: tuple = ()  # (clause tuple, failing example) for dropped emissions
 
 
-# --- walk primitives: hooks, mates, momentum, generalization ------------------
-
-
-def rho(p, q) -> set:
-    """Hook-terms: constants occurring in both atoms."""
-    return set(p.args) & set(q.args)
-
-
-def attribute_mates(p, q, of: int = 0) -> set:
-    """Non-shared constants of the chosen atom (0 = p, 1 = q)."""
-    chosen = (p, q)[of]
-    return set(chosen.args) - rho(p, q)
+# --- walk primitives: momentum, generalization, bias, invention, recursion ----
 
 
 def inductive_momentum(l_plus, l_minus, k: int, m: int) -> str:
@@ -163,25 +130,19 @@ def anti_unify(atom, theta_inv: AntiSubstitution, fresh: int):
     return Atom(atom.pred, tuple(terms)), out, fresh
 
 
-def apply_bias(atom, biases, emitted: set):
-    """Rewrite the atom's predicate to its bias-invented one, emitting the
-    definition clauses (one per source) the first time the bias triggers."""
+def apply_bias(atom, biases):
+    """The atom with its predicate rewritten to the one the first bias naming
+    it as a source invents; the atom itself when no bias names it."""
     for bias in biases:
         if atom.pred in bias.sources:
-            defs = []
-            if bias.invented not in emitted:
-                emitted.add(bias.invented)
-                head = Atom(bias.invented, tuple(Var(i) for i in range(len(atom.args))))
-                defs = [Clause(head, (Atom(src, head.args),)) for src in bias.sources]
-            return type(atom)(bias.invented, atom.args), defs
-    return atom, []
+            return type(atom)(bias.invented, atom.args)
+    return atom
 
 
-def invent_auto(open_hyp: Hypothesis, fresh_pred: Callable[[], int]):
-    """Close an at-cap open hypothesis with a fresh predicate bridging its
-    frontier to Y, returning (closed hypothesis, new open hypothesis)."""
-    if open_hyp.status != OPEN:
-        raise PreconditionFault("hypothesis already closed")
+def invent_auto(open_hyp: Hypothesis, fresh_pred: Callable[[], int]) -> Atom:
+    """The atom inv(Z, Y) that closes an at-cap open hypothesis: a fresh
+    predicate bridging the variable Z of its first frontier constant to the
+    head's Y.  A hypothesis it closed links Y, so it is refused here."""
     if len(open_hyp.head.args) != 2:
         raise PreconditionFault("invention bridges binary targets only")
     y = open_hyp.head.args[1]
@@ -189,28 +150,7 @@ def invent_auto(open_hyp: Hypothesis, fresh_pred: Callable[[], int]):
         raise PreconditionFault("head argument Y already linked")
     if not open_hyp.frontier:
         raise PreconditionFault("no frontier constant to bridge from")
-    stalled = open_hyp.frontier[0]
-    z_last = open_hyp.theta_inv.get(stalled)
-    pred = fresh_pred()
-    closed = replace(
-        open_hyp,
-        body=open_hyp.body + (Atom(pred, (z_last, y)),),
-        status=CLOSED,
-    )
-    y_const = open_hyp.theta_inv.const_of(y)
-    theta = AntiSubstitution()
-    theta.bind(stalled, Var(0))
-    if y_const is not None and y_const != stalled:
-        theta.bind(y_const, Var(1))
-    new_open = Hypothesis(
-        head=Atom(pred, (Var(0), Var(1))),
-        body=(),
-        theta_inv=theta,
-        status=OPEN,
-        frontier=open_hyp.frontier,
-        fresh=2,
-    )
-    return closed, new_open
+    return Atom(fresh_pred(), (open_hyp.theta_inv.get(open_hyp.frontier[0]), y))
 
 
 def try_recursion(open_hyp: Hypothesis, next_atom, nemus: SharedNeMuS, tau: float,
@@ -274,7 +214,7 @@ def _clause_preds(clauses) -> set:
 
 class _Walk:
     """Search state shared across one learn() call, the invention sub-walks
-    included: counters, memos, rejections, bias state, taken predicates."""
+    included: counters, memos, rejections, taken predicates."""
 
     def __init__(self, nemus: SharedNeMuS, task: LearnTask, trace, include_pruned: bool):
         self.nemus = nemus
@@ -286,8 +226,6 @@ class _Walk:
         self.include_pruned = include_pruned
         self.stats = Stats()
         self.rejected = []
-        self.bias_emitted: set = set()
-        self.bias_defs: dict = {}  # invented pred -> tuple of definition clauses
         self.sources_of = {b.invented: b.sources for b in task.biases}
         # codes an auto-invented predicate must not collide with; re-running
         # learn on the same symbol table reuses inv_N names deterministically
@@ -344,19 +282,18 @@ class _Walk:
                 keys[c] = clause_key(c)
         return frozenset([keys[c] for c in clauses])
 
-    def rewrite(self, ground_atom):
-        atom, defs = apply_bias(ground_atom, self.task.biases, self.bias_emitted)
-        if defs:
-            self.bias_defs[atom.pred] = tuple(defs)
-        return atom
-
     def attach_defs(self, clauses) -> tuple:
+        """The clauses after the definitions of every bias-invented predicate
+        they read, directly or through another definition, in bias order.  A
+        bias's sources name only earlier biases, so one backward pass closes
+        the set."""
         used = _clause_preds(clauses)
-        defs = []
-        for bias in self.task.biases:
+        reached = []
+        for bias in reversed(self.task.biases):
             if bias.invented in used:
-                defs.extend(self.bias_defs.get(bias.invented, ()))
-        return tuple(defs) + tuple(clauses)
+                used.update(bias.sources)
+                reached.append(bias.definitions(self.sym.predicate_sig(bias.invented)[1]))
+        return tuple(chain.from_iterable(reversed(reached))) + tuple(clauses)
 
     def colliders(self, cand, hook: int, pairs: dict):
         """The negative-walk atoms the candidate collides with at its hook:
@@ -422,7 +359,7 @@ class _Walk:
                             continue
                     else:
                         verdict = CONSISTENT
-                    rewritten = self.rewrite(cand)
+                    rewritten = apply_bias(cand, self.task.biases)
                     gen, theta2, fresh2 = anti_unify(rewritten, state.theta_inv, state.fresh)
                     mates = tuple(dict.fromkeys(c for c in cand.args if c != hook))
 
@@ -485,12 +422,12 @@ class _Walk:
         return results
 
     def _invent(self, state: Hypothesis, head, e_pos, record):
-        closed, new_open = invent_auto(state, self.fresh_pred)
-        inv_pred = new_open.head.pred
+        closing = invent_auto(state, self.fresh_pred)
+        inv_pred = closing.pred
         self.emit_trace(state.frontier[0], self.sym.render_sig(inv_pred), NOT_APPLIED, "invent")
         bridge = GroundAtom(inv_pred, (state.frontier[0], e_pos.args[1]))
         sub_sets = self.learn_positive(bridge, inv_pred, (), allow_invention=False)
-        main = Clause(head, closed.body)
+        main = Clause(head, state.body + (closing,))
         for sub_clauses in sub_sets.values():
             record((main,) + tuple(sub_clauses), main)
 

@@ -16,6 +16,7 @@ parsed as the equivalent of the ``#`` directives.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -101,9 +102,6 @@ class SymbolTable:
     def predicate_sig(self, code: int) -> tuple:
         return self._predicates.name(code)
 
-    def variable_name(self, code: int) -> str:
-        return self._variables.name(code)
-
     @property
     def n_constants(self) -> int:
         return len(self._constants)
@@ -111,9 +109,6 @@ class SymbolTable:
     @property
     def n_predicates(self) -> int:
         return len(self._predicates)
-
-    def predicate_codes(self) -> range:
-        return range(len(self._predicates))
 
     def render_sig(self, code: int) -> str:
         name, arity = self.predicate_sig(code)
@@ -165,6 +160,42 @@ def setting_error(name: str, value) -> Optional[str]:
     return None
 
 
+def read_setting(name: str, text: str):
+    """A setting's command-line value, read with the number grammar of its
+    directive (ASCII digits; for tau, a fraction after a dot too) and
+    range-checked as the directive is.  The grammar has no sign; a signed
+    number is read only to report that it is out of range."""
+    flag = f"--{name.replace('_', '-')} {text}"
+    number = _NUMBER.fullmatch(text.removeprefix("-"))
+    if number is None or (number[1] and name != "tau"):
+        raise KbError(f"{flag}: expected {'a number' if name == 'tau' else 'an integer'}")
+    value = (float if name == "tau" else int)(text)
+    problem = setting_error(name, value) or ("a number has no sign" if text.startswith("-") else None)
+    if problem:
+        raise KbError(f"{flag}: {problem}")
+    return value
+
+
+class InventionBias(NamedTuple):
+    invented: int
+    sources: tuple  # predicate codes sharing the invented predicate's arity
+
+    def definitions(self, arity: int) -> tuple:
+        """invented(X, ...) :- source(X, ...), one clause per source."""
+        head = Atom(self.invented, tuple(Var(i) for i in range(arity)))
+        return tuple(Clause(head, (Atom(src, head.args),)) for src in self.sources)
+
+
+@dataclass(frozen=True)
+class LearnTask:
+    target: int
+    positives: tuple
+    negatives: tuple = ()
+    biases: tuple = ()  # of InventionBias, in directive order
+    max_body: int = 3
+    tau: float = 0.2
+
+
 @dataclass
 class Directive:
     kind: str  # target | positive | negative | invent | max_body | tau
@@ -175,7 +206,7 @@ class Directive:
 @dataclass
 class KnowledgeBase:
     facts: list
-    task: object  # engine.LearnTask or None for task-less (facts-only) files
+    task: Optional[LearnTask]  # None for task-less (facts-only) files
     symbols: SymbolTable
     directives: list = field(default_factory=list)
 
@@ -184,6 +215,9 @@ class KnowledgeBase:
 
 _PUNCT = {"(", ")", ",", ".", "/", "#"}
 _DIGITS = "0123456789"
+# ASCII digits only (int() takes e.g. Arabic-Indic ones); a real only when
+# digits follow the dot, since a bare dot ends the statement
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 class _Tok(NamedTuple):
@@ -225,18 +259,11 @@ def _tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if ch in _DIGITS:  # ASCII only; int() chokes on e.g. superscripts
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            # a real only when digits follow the dot; a bare dot ends the statement
-            if j < n - 1 and text[j] == "." and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                toks.append(_Tok("real", float(text[i:j]), line, start_col))
-            else:
-                toks.append(_Tok("int", int(text[i:j]), line, start_col))
+        if ch in _DIGITS:
+            number = _NUMBER.match(text, i)
+            j = number.end()
+            kind, read = ("real", float) if number[1] else ("int", int)
+            toks.append(_Tok(kind, read(number[0]), line, start_col))
             col += j - i
             i = j
             continue
@@ -469,8 +496,6 @@ class _Parser:
 
 
 def _validate(facts, directives, symbols: SymbolTable):
-    from .engine import InventionBias, LearnTask  # deferred: engine imports kb
-
     targets = [d for d in directives if d.kind == "target"]
     if len(targets) > 1:
         raise ValidationError("more than one #target", targets[1].line)

@@ -491,12 +491,8 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
     head = Atom(task.target, tuple(Var(i) for i in range(target_arity)))
     variables = [Var(i) for i in range(caps.max_vars)]
 
-    prelude = []
-    for bias in task.biases:
-        _, barity = symbols.predicate_sig(bias.invented)
-        bhead = Atom(bias.invented, tuple(Var(i) for i in range(barity)))
-        for src in bias.sources:
-            prelude.append(Clause(bhead, (Atom(src, bhead.args),)))
+    prelude = tuple(itertools.chain.from_iterable(
+        bias.definitions(symbols.predicate_sig(bias.invented)[1]) for bias in task.biases))
     budget = caps.max_clauses - len(prelude)
     if budget <= 0:
         return
@@ -538,5 +534,5 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
 
     for size in range(1, budget + 1):
         for combo in itertools.combinations(pool, size):
-            clauses = tuple(prelude) + combo
+            clauses = prelude + combo
             yield clauses, verify(bk, clauses, task.positives, task.negatives)

@@ -54,6 +54,17 @@ def render_set(clauses, symbols):
     return {render_clause(c.head, c.body, symbols) for c in clauses}
 
 
+def assert_defines_what_it_reads(clauses, kb):
+    """Every predicate a body reads that has no facts and is not the target
+    (so was invented) is the head of a clause in the set."""
+    fact_preds = {f.pred for f in kb.facts}
+    heads = {c.head.pred for c in clauses}
+    for c in clauses:
+        for atom in c.body:
+            if atom.pred not in fact_preds and atom.pred != kb.task.target:
+                assert atom.pred in heads, render_clause(c.head, c.body, kb.symbols)
+
+
 def assert_index_invariants(kb, nemus):
     """The spaces of dump(nemus) agree with the facts, and beta with them."""
     doc = dump(nemus)

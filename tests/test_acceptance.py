@@ -11,7 +11,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_index_invariants, render_set
+from conftest import (
+    BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_defines_what_it_reads, assert_index_invariants, render_set,
+)
 from corpus import CORPUS_SIZE, random_kb
 from nemus_icl import (
     EnumCaps,
@@ -98,6 +100,7 @@ def test_criterion_3_oracle_soundness_on_corpus():
             result = learn(compile_kb(kb), kb.task)
             for clauses in result.hypotheses:
                 assert verify(kb.facts, clauses, kb.task.positives, kb.task.negatives).ok
+                assert_defines_what_it_reads(clauses, kb)
                 emitted += 1
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -280,6 +280,45 @@ def test_out_of_range_settings_exit_2_as_flag_and_directive(tmp_path, flag, dire
     assert proc.stderr.startswith("nemus-icl: error: ")
 
 
+@pytest.mark.parametrize("name, spelling, accepted", [
+    ("max_body", "1_0", False),
+    ("max_body", "\u0663", False),  # an Arabic-Indic digit three
+    ("max_body", "2.0", False),
+    ("max_body", "007", True),
+    ("tau", ".5", False),
+    ("tau", "0.2_5", False),
+    ("tau", "1e-3", False),
+    ("tau", "1.", False),
+    ("tau", "-0", False),  # in range, but the grammar has no sign
+    ("tau", "1", True),
+    ("tau", "0.250", True),
+])
+def test_numeric_flags_accept_what_the_directives_accept(tmp_path, capsys, name, spelling, accepted):
+    plain = tmp_path / "plain.kb"
+    plain.write_text("q(a, b).\n#target t/2.\n#positive t(a, b).\n")
+    directive = tmp_path / "directive.kb"
+    directive.write_text(plain.read_text() + f"#{name} {spelling}.\n")
+    flag = f"--{name.replace('_', '-')}"
+    flag_rc, flag_out, flag_err = main(["learn", str(plain), flag, spelling]), *capsys.readouterr()
+    file_rc, file_out, file_err = main(["learn", str(directive)]), *capsys.readouterr()
+    assert flag_out == file_out
+    if accepted:
+        assert (flag_rc, flag_err, file_rc, file_err) == (0, "", 0, "")
+    else:
+        assert (flag_rc, flag_out, file_rc) == (2, "", 2)
+        assert flag_err.startswith(f"nemus-icl: error: {flag} {spelling}: ")
+        assert file_err.startswith("nemus-icl: error: ")
+
+
+@pytest.mark.parametrize("flag", ["--max-clauses", "--max-vars", "--limit"])
+@pytest.mark.parametrize("spelling", ["1_0", "\u0663", "2.0", " 2", "-0"])
+def test_enumerate_count_flags_take_ascii_digits_only(collision_path, capsys, flag, spelling):
+    assert main(["enumerate", collision_path, "--max-vars", "3", "--limit", "5", flag, spelling]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"nemus-icl: error: {flag} {spelling}: ")
+
+
 @pytest.mark.parametrize("kb_text, flags", [
     pytest.param(FAMILY, ["--max-clauses", "4", "--max-vars", "3", "--limit", "40"], id="family"),
     pytest.param(COLLISION, ["--max-clauses", "2", "--max-vars", "3", "--max-body", "2", "--limit", "40"],
@@ -384,7 +423,7 @@ def test_subcommands_in_one_process_match_fresh_calls(family_path, tmp_path, cap
         ["learn", family_path],
         ["check", family_path, "--hypothesis", str(hyp)],
         ["enumerate", family_path, "--max-clauses", "3", "--limit", "5"],
-        ["enumerate", family_path, "--max-vars", "three"],  # argparse exits 2
+        ["enumerate", family_path, "--max-vars"],  # argparse exits 2
         ["dump-nemus", family_path],
         ["learn", family_path, "--json"],
     ]

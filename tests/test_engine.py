@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from itertools import chain, product
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, render_set
+from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_defines_what_it_reads, render_set
 from corpus import multi_positive_kb, random_kb
 from nemus_icl import engine, oracle
 from nemus_icl import (
@@ -24,7 +25,6 @@ from nemus_icl import (
     Var,
     anti_unify,
     apply_bias,
-    attribute_mates,
     compile_kb,
     inductive_momentum,
     invent_auto,
@@ -32,19 +32,9 @@ from nemus_icl import (
     parse_kb,
     render_clause,
     render_ground_atom,
-    rho,
     try_recursion,
     verify,
 )
-
-
-def test_rho_and_mates():
-    p = GroundAtom(0, (5, 6))   # pk(ak, c1)
-    q = GroundAtom(0, (6, 7))   # pk(c1, ak1)
-    assert rho(p, q) == {6}
-    assert attribute_mates(p, q) == {5}
-    assert attribute_mates(p, q, of=1) == {7}
-    assert rho(GroundAtom(0, (1, 2)), GroundAtom(1, (3, 4))) == set()
 
 
 def test_inductive_momentum_table():
@@ -105,20 +95,23 @@ def test_anti_substitution_bind_guards():
         theta.bind(4, Var(0))  # variable already used
 
 
-def test_apply_bias_rewrites_and_emits_defs_once():
-    biases = (InventionBias(3, (0, 1)),)
-    emitted = set()
-    atom, defs = apply_bias(GroundAtom(0, (0, 1)), biases, emitted)
-    assert atom == GroundAtom(3, (0, 1))
-    assert [d.head.pred for d in defs] == [3, 3]
-    assert [d.body[0].pred for d in defs] == [0, 1]
-    # second trigger (other source) rewrites but emits nothing new
-    atom2, defs2 = apply_bias(GroundAtom(1, (4, 1)), biases, emitted)
-    assert atom2 == GroundAtom(3, (4, 1))
-    assert defs2 == []
+def test_apply_bias_rewrites_to_the_invented_predicate():
+    biases = (InventionBias(3, (0, 1)), InventionBias(4, (1,)))
+    assert apply_bias(GroundAtom(0, (0, 1)), biases) == GroundAtom(3, (0, 1))
+    # the first bias naming the source wins, every time
+    assert apply_bias(GroundAtom(1, (4, 1)), biases) == GroundAtom(3, (4, 1))
+    assert apply_bias(GroundAtom(1, (4, 1)), biases) == GroundAtom(3, (4, 1))
     # unrelated predicate passes through
-    atom3, defs3 = apply_bias(GroundAtom(2, (0, 1)), biases, emitted)
-    assert atom3 == GroundAtom(2, (0, 1)) and defs3 == []
+    assert apply_bias(GroundAtom(2, (0, 1)), biases) == GroundAtom(2, (0, 1))
+
+
+def test_bias_definitions_one_clause_per_source():
+    x, y = Var(0), Var(1)
+    assert InventionBias(3, (0, 1)).definitions(2) == (
+        Clause(Atom(3, (x, y)), (Atom(0, (x, y)),)),
+        Clause(Atom(3, (x, y)), (Atom(1, (x, y)),)),
+    )
+    assert InventionBias(5, (2,)).definitions(1) == (Clause(Atom(5, (x,)), (Atom(2, (x,)),)),)
 
 
 def _open_hyp():
@@ -132,23 +125,15 @@ def _open_hyp():
 
 
 def test_invent_auto_bridges_frontier_to_y():
-    hyp = _open_hyp()
-    closed, fresh = invent_auto(hyp, lambda: 9)
-    assert closed.status == "closed"
-    assert closed.body[-1] == Atom(9, (Var(2), Var(1)))
-    assert fresh.head == Atom(9, (Var(0), Var(1)))
-    assert fresh.body == () and fresh.status == "open"
-    assert fresh.frontier == (12,)
-    # the new walk's seed maps the stalled constant to X and the old Y constant to Y
-    assert fresh.theta_inv.get(12) == Var(0)
-    assert fresh.theta_inv.get(11) == Var(1)
+    # the stalled frontier constant 12 is Z0 (Var(2)); the head's Y is Var(1)
+    assert invent_auto(_open_hyp(), lambda: 9) == Atom(9, (Var(2), Var(1)))
 
 
 def test_invent_auto_preconditions():
     hyp = _open_hyp()
-    closed, _ = invent_auto(hyp, lambda: 9)
+    closed = replace(hyp, body=hyp.body + (invent_auto(hyp, lambda: 9),))
     with pytest.raises(PreconditionFault):
-        invent_auto(closed, lambda: 9)
+        invent_auto(closed, lambda: 9)  # the bridge links Y
     linked = Hypothesis(
         head=hyp.head,
         body=(Atom(0, (Var(0), Var(1))),),  # Y already reached
@@ -287,6 +272,39 @@ def test_learn_bridge_invents():
         {"t(X,Y) :- q1(X,Z0), inv_0(Z0,Y).", "inv_0(X,Y) :- r(X,Z0), u(Z0,Y)."}
     ]
     assert [sym.render_sig(p) for p in result.invented] == ["inv_0/2"]
+
+
+# s reads r, an earlier invented predicate; the hypothesis names only s
+CHAINED_BIAS = (
+    "q(x, y).\nw(a, c).\n#invent r/2 from q/2.\n#invent s/2 from r/2, w/2.\n"
+    "#target p/2.\n#positive p(a, c).\n#max_body 2.\n"
+)
+
+
+def test_learn_attaches_the_definitions_a_chained_bias_reaches():
+    kb = parse_kb(CHAINED_BIAS)
+    result = learn(compile_kb(kb), kb.task)
+    sym = kb.symbols
+    assert [[render_clause(c.head, c.body, sym) for c in h] for h in result.hypotheses] == [[
+        "r(X,Y) :- q(X,Y).", "s(X,Y) :- r(X,Y).", "s(X,Y) :- w(X,Y).", "p(X,Y) :- s(X,Y).",
+    ]]
+    assert [sym.render_sig(p) for p in result.invented] == ["r/2", "s/2"]
+
+
+@pytest.mark.parametrize("kb_text", [
+    pytest.param(FAMILY, id="family"),
+    pytest.param(COLLISION, id="collision"),
+    pytest.param(BRIDGE, id="bridge"),
+    pytest.param(CHAINED_BIAS, id="chained-bias"),
+    # the hypothesis names r, the earlier invented predicate, itself
+    pytest.param(CHAINED_BIAS.replace("q(x, y).\nw(a, c).", "q(a, c).\nw(x, y)."), id="chained-bias-direct"),
+])
+def test_emitted_sets_define_every_invented_predicate_they_read(kb_text):
+    kb = parse_kb(kb_text)
+    result = learn(compile_kb(kb), kb.task)
+    assert result.hypotheses
+    for clauses in result.hypotheses:
+        assert_defines_what_it_reads(clauses, kb)
 
 
 def test_learn_unreachable_example_is_empty_with_zero_candidates():
