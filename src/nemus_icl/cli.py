@@ -81,7 +81,7 @@ def _config_dict(command: str, kb_path: str, kb, task, args) -> dict:
         cfg["target"] = kb.symbols.render_sig(task.target)
         cfg["max_body"] = task.max_body
         cfg["tau"] = task.tau
-    cfg["seed"] = getattr(args, "seed", None)  # reserved; the search is deterministic
+    cfg["seed"] = _flag(args, "seed")  # reserved; the search is deterministic
     cfg["output"] = "json" if getattr(args, "json", False) else "text"
     cfg["trace"] = bool(getattr(args, "trace", False))
     return cfg
@@ -136,6 +136,7 @@ def _clauses_row(n: int, clauses, fragment) -> str:
 def _cmd_learn(args) -> int:
     kb = parse_kb(_read(args.kb))
     task = _effective_task(kb, args)
+    cfg = _config_dict("learn", args.kb, kb, task, args)  # reads --seed before any work
     nemus = compile_kb(kb)
 
     trace = None
@@ -145,7 +146,6 @@ def _cmd_learn(args) -> int:
     result = learn(nemus, task, trace=trace)
     stats = asdict(result.stats)
     sym = kb.symbols
-    cfg = _config_dict("learn", args.kb, kb, task, args)
 
     if args.json:
         # written one hypothesis at a time, in the layout json.dumps(doc,
@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--trace", action="store_true",
                     help="stream one JSON object per search event to stderr")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", metavar="N",
                     help="reserved; the search is deterministic and ignores it")
     sp.set_defaults(func=_cmd_learn)
 

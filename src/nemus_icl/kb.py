@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import NamedTuple, Optional, Union
 
 
@@ -396,7 +397,8 @@ class _Parser:
             if t.kind == "punct" and t.value == "#":
                 self.next()
                 directives.append(self.parse_directive())
-            elif t.kind in ("name", "var") and str(t.value).lower() == "consider":
+            elif (t.kind in ("name", "var") and str(t.value).lower() == "consider"
+                  and self.toks[self.pos + 1].value != "("):  # consider(a). is a fact
                 directives.extend(self.parse_english_directive())
             elif t.kind == "name":
                 atom, line, col = self.parse_atom(allow_vars=True)
@@ -637,5 +639,6 @@ def render_kb(kb: KnowledgeBase) -> str:
         elif d.kind == "max_body":
             lines.append(f"#max_body {d.payload}.")
         elif d.kind == "tau":
-            lines.append(f"#tau {d.payload}.")
+            # the directive's grammar has no exponent: 1e-05 is written 0.00001
+            lines.append(f"#tau {format(Decimal(repr(d.payload)), 'f')}.")
     return "\n".join(lines) + "\n"

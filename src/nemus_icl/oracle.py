@@ -15,15 +15,18 @@ evaluation (Bancilhon & Ramakrishnan 1986), whose joins fetch each atom after
 the delta atom through the index, as in Souffle (Jordan et al., CAV 2016).
 
 The examples are ground, so a verdict needs only the atoms they demand.  On a
-BK with at least DEMAND_MIN_CONSTANTS constants, verify rewrites the looped
-rules with generalized magic sets (Bancilhon, Maier, Sagiv & Ullman, PODS
-1986; Beeri & Ramakrishnan, JLP 1991), seeds one magic atom per example, and
-runs the same semi-naive loop over the rewrite.  On smaller BKs the rewrite
-costs more than the whole model saves, and verify builds the whole model.
+BK with at least DEMAND_MIN_CONSTANTS constants, verify replaces the looped
+rules with their generalized magic-set rewrite (Bancilhon, Maier, Sagiv &
+Ullman, PODS 1986; Beeri & Ramakrishnan, JLP 1991), a program of ordinary
+clauses seeded with one magic unit per example, and least_model evaluates it
+like any other.  On smaller BKs the rewrite costs more than the whole model
+saves, and verify evaluates the program as given.  Either way, verify calls
+least_model once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -58,7 +61,6 @@ class Bk:
         self.constants = frozenset(c for rows in self.relations.values() for args in rows for c in args)
         self.atoms = frozenset(GroundAtom(p, args) for p, rows in self.relations.items() for args in rows)
         self._rules: dict = {}  # Clause -> _Rule
-        self._rewrites: dict = {}  # (looped _Rules, seeds) -> _magic_rewrite of them
 
     def rule(self, clause: Clause) -> "_Rule":
         """The compiled form of a rule; range restriction is checked on first use."""
@@ -301,6 +303,12 @@ def _fixpoint(looped, relations, index, hb_size: int):
         _extend(relations, index, delta)
 
 
+# GroundAtom(pred, args) from a (pred, args) pair by tuple.__new__, which runs
+# in C; a NamedTuple's own __new__ is a Python function, and least_model
+# builds one atom per derived fact
+_ground_atom = functools.partial(tuple.__new__, GroundAtom)
+
+
 def least_model(prog: Program) -> frozenset:
     """Least fixpoint of the immediate-consequence step over the compiled BK.
 
@@ -313,33 +321,43 @@ def least_model(prog: Program) -> frozenset:
         return bk.atoms.union(units, *fired)
     relations, index = _seeded(bk, derived_preds, itertools.chain(units, *fired))
     _fixpoint(looped, relations, index, _hb_size(bk, units, rules))
-    return bk.atoms.union(GroundAtom(p, args) for p in derived_preds for args in relations[p])
+    return bk.atoms.union(*(map(_ground_atom, zip(itertools.repeat(p), relations[p])) for p in derived_preds))
 
 
 # verify answers a BK with at least this many constants by demand.  On small
 # recursive programs the rewrite costs more than the whole model saves:
-# ungated, a pass of the corpus benchmark workload took 1.2x the CPU and one
-# of the enumerate workload 2x.  For a recursive path program over chains and
-# random digraphs the two break even at 12-16 constants; the gate keeps a margin.
+# ungated, an in-process pass over the corpus benchmark workload's KBs took
+# 1.15x the CPU and one over the enumerate workload's 2.9x.  For a recursive
+# path program over chains and random digraphs the two break even at 16-24
+# constants; the gate keeps a margin.
 DEMAND_MIN_CONSTANTS = 32
 
 
-def _magic_rewrite(looped, seeds) -> tuple:
+def _magic_rewrite(looped, demanded) -> list:
     """Generalized magic sets (Bancilhon, Maier, Sagiv & Ullman, PODS 1986;
-    Beeri & Ramakrishnan, JLP 1991) over the looped rules, adorned from the
-    all-bound seeds and passing bindings left to right.
+    Beeri & Ramakrishnan, JLP 1991) over the looped clauses, adorned from the
+    demanded examples, all bound, and passing bindings left to right.
 
-    Returns (rules, adorned): the compiled rewritten rules, and the
-    (predicate, adornment) pairs they define.  The adorned relation of p is
-    keyed ("a", p, adornment) and its magic relation ("m", p, adornment):
-    tuples, which never equal an int predicate code.  The magic guard goes
-    last in every body, so a join plan reaches it as an indexed test."""
+    Returns the clauses that take the looped ones' place: a ground magic unit
+    per demanded example, and for each (predicate, adornment) pair reached,
+    the magic and adorned rules of the predicate's clauses plus a copy clause
+    ("a", p, adornment)(V...) :- ("m", p, adornment)(bound V...), p(V...),
+    which brings in the demanded atoms of p that the BK and the rest of the
+    program hold.  The adorned predicate of p is ("a", p, adornment) and its
+    magic predicate ("m", p, adornment): tuples, which never equal an int
+    predicate code.  The magic guard goes last in the magic and adorned
+    rules, so a join plan reaches it as an indexed test, and first in a copy
+    clause, so p, which the loop never extends, is read through the index at
+    the demanded bindings."""
     by_head: dict = {}
-    for rule in looped:
-        by_head.setdefault(rule.pred, []).append(rule.clause)
-    adorned = [(p, "b" * n) for p, n in seeds]
-    out = []
+    for clause in looped:
+        by_head.setdefault(clause.head.pred, []).append(clause)
+    out = [Clause(Atom(("m", e.pred, "b" * len(e.args)), e.args), ()) for e in demanded]
+    adorned = list(dict.fromkeys((e.pred, "b" * len(e.args)) for e in demanded))
     for p, adornment in adorned:  # grows as new adornments are met
+        copy = tuple(Var(i) for i in range(len(adornment)))
+        guard = Atom(("m", p, adornment), tuple(v for v, a in zip(copy, adornment) if a == "b"))
+        out.append(Clause(Atom(("a", p, adornment), copy), (guard, Atom(p, copy))))
         for clause in by_head[p]:
             head = clause.head
             guard = Atom(("m", p, adornment), tuple(t for t, a in zip(head.args, adornment) if a == "b"))
@@ -357,43 +375,7 @@ def _magic_rewrite(looped, seeds) -> tuple:
                 body.append(atom)
                 bound |= atom_vars(atom)
             out.append(Clause(Atom(("a", p, adornment), head.args), (*body, guard)))
-    return tuple(map(_Rule, out)), tuple(adorned)
-
-
-def _demand_verdict(bk: Bk, clauses, positives, negatives) -> Verdict:
-    """verify's verdict from the atoms the examples demand.  The looped rules
-    are rewritten with magic sets, seeded with one magic atom per example
-    whose predicate they define, and run on the semi-naive loop; every other
-    example is answered from the BK, the units and the flat atoms.  Each
-    adorned relation starts with its predicate's BK facts, units and flat
-    atoms, all of which are in the least model."""
-    rules, units, derived_preds, fired, looped = _split(bk, clauses)
-    relations, index = _seeded(bk, derived_preds, itertools.chain(units, *fired))
-    examples = (*positives, *negatives)
-    heads = {rule.pred for rule in looped}
-    demanded = [e for e in examples if e.pred in heads]
-    if demanded:
-        seeds = tuple(sorted({(e.pred, len(e.args)) for e in demanded}))
-        key = (tuple(looped), seeds)
-        rewrite = bk._rewrites.get(key)
-        if rewrite is None:
-            rewrite = bk._rewrites[key] = _magic_rewrite(looped, seeds)
-        magic_rules, adorned = rewrite
-        for p, adornment in adorned:
-            for rel in (("a", p, adornment), ("m", p, adornment)):
-                relations[rel], index[rel] = set(), {}
-        fresh = {("a", p, adornment): relations[p] for p, adornment in adorned}
-        for e in demanded:
-            fresh.setdefault(("m", e.pred, "b" * len(e.args)), set()).add(e.args)
-        _extend(relations, index, fresh)
-        _fixpoint(magic_rules, relations, index, _hb_size(bk, itertools.chain(units, examples),
-                                                           itertools.chain(rules, magic_rules)))
-
-    def holds(e) -> bool:
-        pred = ("a", e.pred, "b" * len(e.args)) if e.pred in heads else e.pred
-        return e.args in relations.get(pred, ())
-
-    return _verdict(holds, positives, negatives)
+    return out
 
 
 def _verdict(holds, positives, negatives) -> Verdict:
@@ -411,17 +393,26 @@ def _verdict(holds, positives, negatives) -> Verdict:
 def verify(bk, hypothesis, positives, negatives) -> Verdict:
     """Verified iff every positive is in least_model(bk + hypothesis) and no
     negative is.  bk is a compiled Bk or an iterable of facts; ground unit
-    clauses in the hypothesis count as facts.  A BK with at least
-    DEMAND_MIN_CONSTANTS constants is answered by a magic-set rewrite, with
-    the same verdict, instead of the whole model."""
+    clauses in the hypothesis count as facts.  On a BK with at least
+    DEMAND_MIN_CONSTANTS constants, the looped rules are replaced by their
+    magic-set rewrite, and an example they define is read from its adorned
+    all-bound predicate in the model of the rewritten program."""
     clauses = list(hypothesis)
     for clause in clauses:
         if not clause.body and not is_ground(clause.head):
             raise RangeRestrictionFault(clause)
     bk = _compiled(bk)
+    heads = ()
     if len(bk.constants) >= DEMAND_MIN_CONSTANTS:
-        return _demand_verdict(bk, clauses, positives, negatives)
-    return _verdict(least_model(Program(bk, clauses)).__contains__, positives, negatives)
+        looped = [rule.clause for rule in _split(bk, clauses)[-1]]
+        heads = {clause.head.pred for clause in looped}
+        demanded = [e for e in (*positives, *negatives) if e.pred in heads]
+        clauses = [c for c in clauses if c not in looped] + _magic_rewrite(looped, demanded)
+    model = least_model(Program(bk, clauses))
+    if not heads:
+        return _verdict(model.__contains__, positives, negatives)
+    return _verdict(lambda e: (GroundAtom(("a", e.pred, "b" * len(e.args)), e.args) if e.pred in heads else e)
+                    in model, positives, negatives)
 
 
 # --- brute-force enumeration ------------------------------------------------

@@ -94,7 +94,26 @@ def test_flag_overrides_directive(family_path):
 
 
 def test_seed_flag_accepted(family_path):
-    assert run_cli("learn", family_path, "--seed", "7").returncode == 0
+    proc = run_cli("learn", family_path, "--seed", "7")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1].endswith(" seed=7 trace=False")
+    assert json.loads(run_cli("learn", family_path, "--seed", "7", "--json").stdout)["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("spelling, problem", [
+    ("\u0663", "expected an integer"),  # an Arabic-Indic digit three
+    ("1_0", "expected an integer"),
+    ("-4", "a number has no sign"),
+])
+def test_seed_flag_takes_the_directives_number_grammar(family_path, capsys, monkeypatch, spelling, problem):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --seed was read")
+
+    monkeypatch.setattr("nemus_icl.cli.compile_kb", no_work)
+    assert main(["learn", family_path, "--seed", spelling]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"nemus-icl: error: --seed {spelling}: {problem}\n"
 
 
 def test_learn_no_hypothesis_exit_1(tmp_path):

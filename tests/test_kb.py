@@ -1,7 +1,9 @@
 """Parser, validation, and rendering for the KB file language."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import COLLISION, FAMILY
@@ -211,6 +213,30 @@ def test_render_parse_round_trip(seed):
         assert kb.task.max_body == kb2.task.max_body
         assert len(kb.task.positives) == len(kb2.task.positives)
         assert len(kb.task.negatives) == len(kb2.task.negatives)
+
+
+@given(st.floats(0, 1))
+@example(0.00001)  # repr 1e-05: the directive's grammar has no exponent
+@settings(max_examples=300, deadline=None)
+def test_render_parse_round_trip_keeps_tau(tau):
+    """render_kb writes tau in the directive's number grammar, which has no
+    exponent, and keeps the exact float."""
+    kb = parse_kb("q(a).\n#target p/1.\n#positive p(a).\n#tau 0.5.\n")
+    kb.directives = [replace(d, payload=tau) if d.kind == "tau" else d for d in kb.directives]
+    assert parse_kb(render_kb(kb)).task.tau == tau
+
+
+def test_consider_is_a_predicate_name_when_an_argument_list_follows():
+    kb = parse_kb("consider(a).\nconsider(b, c).\n"
+                  "consider induction on p/1 knowing p(a) and not p(b).\n")
+    sym = kb.symbols
+    assert [(sym.predicate_sig(f.pred), tuple(map(sym.constant_name, f.args))) for f in kb.facts] == [
+        (("consider", 1), ("a",)), (("consider", 2), ("b", "c")),
+    ]
+    assert sym.render_sig(kb.task.target) == "p/1"
+    assert [sym.constant_name(e.args[0]) for e in (*kb.task.positives, *kb.task.negatives)] == ["a", "b"]
+    english = parse_kb("Consider induction on p/1 knowing p(a).\n")
+    assert (english.facts, english.symbols.render_sig(english.task.target)) == ([], "p/1")
 
 
 @given(st.text(max_size=200))

@@ -1,6 +1,8 @@
 """Least-model evaluation, verification, and the brute-force enumerator."""
 
+import contextlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -223,10 +225,52 @@ def test_compiled_model_and_verdict_match_naive_fixpoint(facts, clauses, positiv
     want = _naive_verdict(expected, positives, negatives)
     assert verify(bk, clauses, positives, negatives) == want
     assert verify(facts, clauses, positives, negatives) == want
-    # the demand path, which verify takes on BKs of DEMAND_MIN_CONSTANTS constants
-    assert oracle._demand_verdict(bk, clauses, positives, negatives) == want
-    assert oracle._demand_verdict(bk, clauses, positives, negatives) == want
+    # the magic-set rewrite, which verify evaluates on BKs of DEMAND_MIN_CONSTANTS constants
+    assert _verify_by_demand(bk, clauses, positives, negatives)[0] == want
+    assert _verify_by_demand(bk, clauses, positives, negatives)[0] == want
     assert bk.relations == Bk(facts).relations and bk.index == Bk(facts).index
+
+
+@contextlib.contextmanager
+def _least_model_calls(**patches):
+    """The (program, model) of every least_model call made in the block,
+    with the oracle's module attributes patched as given."""
+    calls = []
+    real = oracle.least_model
+
+    def spy(prog):
+        calls.append((prog, real(prog)))
+        return calls[-1][1]
+
+    with mock.patch.multiple(oracle, least_model=spy, **patches):
+        yield calls
+
+
+def _verify_by_demand(bk, clauses, positives, negatives) -> tuple:
+    """(verdict, calls): verify with the demand gate lowered to every BK, and
+    its least_model calls."""
+    with _least_model_calls(DEMAND_MIN_CONSTANTS=0) as calls:
+        return verify(bk, clauses, positives, negatives), calls
+
+
+@given(
+    st.lists(GROUND, max_size=10),
+    st.lists(st.one_of(_rule(), UNIT), min_size=1, max_size=4),
+    st.lists(GROUND, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_magic_rewrite_derives_only_atoms_of_the_whole_model(facts, clauses, examples):
+    """Soundness of the rewrite: an atom of an original predicate in the
+    rewritten program's model is in the whole least model, and so is an
+    adorned atom read under its predicate.  Magic atoms record demand, not
+    truth, and are not checked."""
+    whole = _naive_model(facts, clauses)
+    _, [(_, model)] = _verify_by_demand(Bk(facts), clauses, examples, [])
+    for atom in model:
+        if isinstance(atom.pred, int):
+            assert atom in whole
+        elif atom.pred[0] == "a":
+            assert GroundAtom(atom.pred[1], atom.args) in whole
 
 
 @st.composite
@@ -267,9 +311,9 @@ def test_programs_sharing_clauses_over_one_bk_match_naive_fixpoint(data):
     for clauses in programs + programs:
         expected = _naive_model(facts, clauses)
         assert least_model(Program(bk, clauses)) == expected
-        # the magic-set rewrites cached on the Bk are each program's own
+        # the rewritten clauses compiled on the Bk are each program's own
         want = _naive_verdict(expected, positives, negatives)
-        assert oracle._demand_verdict(bk, clauses, positives, negatives) == want
+        assert _verify_by_demand(bk, clauses, positives, negatives)[0] == want
     assert bk.relations == Bk(facts).relations and bk.index == Bk(facts).index
 
 
@@ -284,31 +328,33 @@ def _chain(n: int) -> list:
     return [GroundAtom(EDGE, (i, i + 1)) for i in range(n - 1)]
 
 
-def test_verify_on_a_large_bk_answers_by_demand(monkeypatch):
-    def whole_model(prog):
-        raise AssertionError("least_model called above the gate")
-
-    monkeypatch.setattr(oracle, "least_model", whole_model)
+def test_verify_on_a_large_bk_answers_by_demand():
     bk = Bk(_chain(200))
     path = lambda a, b: GroundAtom(PATH, (a, b))
-    assert verify(bk, PATH_RULES, [path(0, 199), path(150, 160)], [path(199, 0)]) == Verdict(True, None)
-    assert verify(bk, PATH_RULES, [path(0, 199), path(5, 3), path(7, 6)], []) == Verdict(False, path(5, 3))
-    assert verify(bk, PATH_RULES, [path(3, 9)], [path(9, 3), path(2, 120), path(0, 1)]) == \
-        Verdict(False, path(2, 120))
-    assert verify(bk, PATH_RULES[:1], [path(0, 1)], [path(0, 2)]) == Verdict(True, None)
+    with _least_model_calls() as calls:
+        assert verify(bk, PATH_RULES, [path(0, 199), path(150, 160)], [path(199, 0)]) == Verdict(True, None)
+        assert verify(bk, PATH_RULES, [path(0, 199), path(5, 3), path(7, 6)], []) == Verdict(False, path(5, 3))
+        assert verify(bk, PATH_RULES, [path(3, 9)], [path(9, 3), path(2, 120), path(0, 1)]) == \
+            Verdict(False, path(2, 120))
+        assert verify(bk, PATH_RULES[:1], [path(0, 1)], [path(0, 2)]) == Verdict(True, None)
+    assert len(calls) == 4
+    flat = {path(i, i + 1) for i in range(199)}
+    for prog, model in calls:
+        # the magic program in place of the recursive rule: the model holds
+        # the flat rule's path atoms and no recursively derived one
+        assert prog.facts is bk and PATH_RULES[1] not in prog.rules
+        assert {atom for atom in model if atom.pred == PATH} == flat
 
 
-def test_verify_below_the_gate_builds_the_whole_model(monkeypatch):
-    calls = []
-    real = oracle.least_model
-    monkeypatch.setattr(oracle, "least_model", lambda prog: calls.append(prog) or real(prog))
+def test_verify_below_the_gate_builds_the_whole_model():
     examples = [GroundAtom(PATH, (0, 30))], [GroundAtom(PATH, (30, 0))]
     bk = Bk(_chain(oracle.DEMAND_MIN_CONSTANTS - 1))
     assert len(bk.constants) == 31
-    assert verify(bk, PATH_RULES, *examples).ok
-    assert len(calls) == 1
-    assert verify(Bk(_chain(oracle.DEMAND_MIN_CONSTANTS)), PATH_RULES, *examples).ok
-    assert len(calls) == 1
+    with _least_model_calls() as calls:
+        assert verify(bk, PATH_RULES, *examples).ok
+        assert [prog.rules for prog, _ in calls] == [PATH_RULES]
+        assert verify(Bk(_chain(oracle.DEMAND_MIN_CONSTANTS)), PATH_RULES, *examples).ok
+    assert len(calls) == 2 and PATH_RULES[1] not in calls[1][0].rules
 
 
 def test_rule_flat_in_one_program_reads_derived_in_the_next():
