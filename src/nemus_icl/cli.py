@@ -92,11 +92,6 @@ def _config_line(cfg: dict) -> str:
     return "config: " + " ".join(shown)
 
 
-def _clause_json(clause, symbols) -> dict:
-    head, body = render_clause_atoms(clause.head, clause.body, symbols)
-    return {"head": head, "body": body}
-
-
 def _print_json(doc: dict):
     print(json.dumps(doc, indent=2))
 
@@ -115,11 +110,19 @@ def _json_list(items, margin: str) -> str:
 
 
 def _clause_fragments(symbols):
-    """A per-command memo: Clause -> its JSON object as it reads in
-    hypotheses[i].clauses (learn) and candidates[i].clauses (enumerate), both
-    at an 8-space margin.  The kb renderer is looked up by its global name on
-    a miss."""
-    return functools.cache(lambda c: _indented(_clause_json(c, symbols), " " * 8))
+    """A per-command memo: Clause -> its JSON object {"head": ..., "body":
+    [...]} as json.dumps(..., indent=2) lays it out in hypotheses[i].clauses
+    (learn) and candidates[i].clauses (enumerate), both at an 8-space margin.
+    Each atom string is dumped on its own, which json encodes in C; with
+    indent set, json.dumps of the whole object runs json's pure-Python
+    encoder.  The kb renderer is looked up by its global name on a miss."""
+
+    def fragment(clause) -> str:
+        head, body = render_clause_atoms(clause.head, clause.body, symbols)
+        return ('{\n          "head": ' + json.dumps(head) + ',\n          "body": '
+                + _json_list([json.dumps(atom) for atom in body], " " * 10) + "\n        }")
+
+    return functools.cache(fragment)
 
 
 def _clauses_row(n: int, clauses, fragment) -> str:

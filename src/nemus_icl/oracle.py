@@ -13,6 +13,9 @@ Turner, ICLP 1994), so it fires once per compiled BK and keeps its head
 atoms.  Only the rules that read a derived predicate enter semi-naive
 evaluation (Bancilhon & Ramakrishnan 1986), whose joins fetch each atom after
 the delta atom through the index, as in Souffle (Jordan et al., CAV 2016).
+Join plans and the range-restriction check depend only on a rule's variable
+pattern, so they are compiled once per pattern and shared by every rule of
+that pattern, over every BK.
 
 The examples are ground, so a verdict needs only the atoms they demand.  On a
 BK with at least DEMAND_MIN_CONSTANTS constants, verify replaces the looped
@@ -66,8 +69,10 @@ class Bk:
         """The compiled form of a rule; range restriction is checked on first use."""
         compiled_rule = self._rules.get(clause)
         if compiled_rule is None:
-            _check_range_restricted(clause)
-            compiled_rule = self._rules[clause] = _Rule(clause)
+            compiled_rule = _Rule(clause)
+            if not compiled_rule.skeleton.range_restricted:
+                raise RangeRestrictionFault(clause)
+            self._rules[clause] = compiled_rule
         return compiled_rule
 
 
@@ -102,6 +107,12 @@ def _check_range_restricted(rule: Clause):
         raise RangeRestrictionFault(rule)
 
 
+# GroundAtom(pred, args) from a (pred, args) pair by tuple.__new__, which runs
+# in C; a NamedTuple's own __new__ is a Python function, and least_model and
+# _Rule.bk_consequences build one atom per derived fact
+_ground_atom = functools.partial(tuple.__new__, GroundAtom)
+
+
 class _Step(NamedTuple):
     """One body atom of a join plan."""
 
@@ -111,28 +122,90 @@ class _Step(NamedTuple):
     tests: tuple  # (position, slot): must equal the value the slot holds
 
 
+class _Skeleton:
+    """What every rule with one variable pattern shares: its range
+    restriction and its join plans, which name body positions, not
+    predicates.  The pattern is each atom's slot tuple, head first, with
+    slots numbered by first occurrence, plus the slots that hold constants."""
+
+    def __init__(self, atoms: tuple, constant_slots: tuple):
+        self.atoms = atoms
+        self.constant_slots = constant_slots
+        body_slots = set().union(*atoms[1:])
+        self.range_restricted = body_slots.issuperset(set(atoms[0]).difference(constant_slots))
+        self.plans: dict = {}
+
+    def plan(self, first: int) -> tuple:
+        """(body position, key, binds, tests) per step, body atom `first`
+        read from the delta.  Each later atom is the first remaining one with
+        a bound argument, fetched through the index on that argument; one
+        with none scans its relation."""
+        steps = self.plans.get(first)
+        if steps is not None:
+            return steps
+        body = self.atoms[1:]
+        bound = set(self.constant_slots)
+        remaining = [j for j in range(len(body)) if j != first]
+        steps = []
+        j = first
+        while True:
+            key = None
+            if steps:
+                key = next(((pos, s) for pos, s in enumerate(body[j]) if s in bound), None)
+            binds, tests = [], []
+            for pos, s in enumerate(body[j]):
+                if s not in bound:
+                    binds.append((pos, s))
+                    bound.add(s)
+                elif (pos, s) != key:
+                    tests.append((pos, s))
+            steps.append((j, key, tuple(binds), tuple(tests)))
+            if not remaining:
+                break
+            j = next((j for j in remaining if any(s in bound for s in body[j])), remaining[0])
+            remaining.remove(j)
+        steps = self.plans[first] = tuple(steps)
+        return steps
+
+
+# variable pattern -> _Skeleton; bounded by the distinct patterns of the
+# rules compiled in this process
+_SKELETONS: dict = {}
+
+
 class _Rule:
     """A rule's variables and constants numbered as slots of one environment
-    list (constants pre-bound).  Its join plans, and its head atoms over the
-    BK it is compiled for, are made on first use."""
+    list (constants pre-bound).  Its join plans are compiled once per
+    variable pattern, in the _Skeleton every rule of that pattern shares;
+    the rule attaches its body predicates to them, and keeps its head atoms
+    over the BK it is compiled for, on first use."""
 
     def __init__(self, rule: Clause):
         self.clause = rule
         self.pred = rule.head.pred
-        self.body = rule.body
-        self.arities = tuple((atom.pred, len(atom.args)) for atom in (rule.head, *rule.body))
-        self.slot: dict = {}
-        self.env: list = []
-        for atom in (rule.head, *rule.body):
-            for t in atom.args:
-                if t not in self.slot:
-                    self.slot[t] = len(self.env)
-                    self.env.append(None if isinstance(t, Var) else t)
-        self.constants = frozenset(v for v in self.env if v is not None)
-        self.head = tuple(self.slot[t] for t in rule.head.args)
-        self.body_preds = frozenset(atom.pred for atom in rule.body)
+        self.preds = tuple([atom.pred for atom in rule.body])
+        slot: dict = {}
+        atoms = tuple([tuple([slot.setdefault(t, len(slot)) for t in atom.args]) for atom in (rule.head, *rule.body)])
+        self.env = [None if isinstance(t, Var) else t for t in slot]
+        self.head = atoms[0]
+        self.body_preds = frozenset(self.preds)
+        key = (atoms, tuple([s for s, v in enumerate(self.env) if v is not None]))
+        skeleton = _SKELETONS.get(key)
+        if skeleton is None:
+            skeleton = _SKELETONS[key] = _Skeleton(*key)
+        self.skeleton = skeleton
         self.plans: dict = {}
         self.fired: Optional[frozenset] = None  # see bk_consequences
+
+    # the Herbrand-base bound reads these two, and only a fixpoint that
+    # reaches round 3 computes it
+    @functools.cached_property
+    def arities(self) -> tuple:
+        return tuple((atom.pred, len(atom.args)) for atom in (self.clause.head, *self.clause.body))
+
+    @functools.cached_property
+    def constants(self) -> frozenset:
+        return frozenset(v for v in self.env if v is not None)
 
     def bk_consequences(self, bk: Bk) -> frozenset:
         """The head atoms of every match over the BK alone: all the rule adds
@@ -140,42 +213,19 @@ class _Rule:
         belongs to one Bk, and so does this cache."""
         if self.fired is None:
             out: set = set()
-            rows = bk.relations.get(self.body[0].pred, ())
+            rows = bk.relations.get(self.preds[0], ())
             _join(self.plan(0), 0, rows, list(self.env), bk.relations, bk.index, self.head, out)
-            self.fired = frozenset(GroundAtom(self.pred, args) for args in out)
+            self.fired = frozenset(map(_ground_atom, zip(itertools.repeat(self.pred), out)))
         return self.fired
 
     def plan(self, first: int) -> tuple:
-        """Join order with body atom `first` read from the delta.  Each later
-        atom is the first remaining one with a bound argument, fetched
-        through the index on that argument; one with none scans its relation."""
+        """The skeleton's join plan with body atom `first` read from the
+        delta, each step naming its body atom's predicate."""
         steps = self.plans.get(first)
-        if steps is not None:
-            return steps
-        slot = self.slot
-        bound = {s for s, v in enumerate(self.env) if v is not None}
-        remaining = [j for j in range(len(self.body)) if j != first]
-        steps = []
-        atom = self.body[first]
-        while True:
-            key = None
-            if steps:
-                key = next(((pos, slot[t]) for pos, t in enumerate(atom.args) if slot[t] in bound), None)
-            binds, tests = [], []
-            for pos, t in enumerate(atom.args):
-                s = slot[t]
-                if s not in bound:
-                    binds.append((pos, s))
-                    bound.add(s)
-                elif (pos, s) != key:
-                    tests.append((pos, s))
-            steps.append(_Step(atom.pred, key, tuple(binds), tuple(tests)))
-            if not remaining:
-                break
-            j = next((j for j in remaining if any(slot[t] in bound for t in self.body[j].args)), remaining[0])
-            remaining.remove(j)
-            atom = self.body[j]
-        steps = self.plans[first] = tuple(steps)
+        if steps is None:
+            preds = self.preds
+            steps = self.plans[first] = tuple(_Step(preds[j], key, binds, tests)
+                                              for j, key, binds, tests in self.skeleton.plan(first))
         return steps
 
 
@@ -270,26 +320,31 @@ def _seeded(bk: Bk, derived_preds, atoms) -> tuple:
     return relations, index
 
 
-def _fixpoint(looped, relations, index, hb_size: int):
+def _fixpoint(looped, relations, index, hb_size):
     """Semi-naive (delta-driven) evaluation of the looped rules over the
-    relations and index, which it extends in place."""
+    relations and index, which it extends in place.  hb_size() is the
+    Herbrand-base bound on the rounds, computed when a fixpoint first reaches
+    round 3: a looped program has an arity, so the bound is at least 1 and
+    the first two rounds cannot exceed it."""
     delta = None  # the first round applies every looped rule to the whole model
-    rounds = 0
+    rounds, max_rounds = 0, 2
     while True:
         rounds += 1
-        if rounds > hb_size + 1:
+        if rounds == 3:
+            max_rounds = hb_size() + 1
+        if rounds > max_rounds:
             raise RuntimeError("fixpoint exceeded the Herbrand-base bound")
         derived: dict = {}
         for rule in looped:
             out = derived.setdefault(rule.pred, set())
             env = list(rule.env)
-            for i, atom in enumerate(rule.body):
+            for i, pred in enumerate(rule.preds):
                 if delta is None:
                     if i:
                         break
-                    rows = relations.get(atom.pred, ())
+                    rows = relations.get(pred, ())
                 else:
-                    rows = delta.get(atom.pred)
+                    rows = delta.get(pred)
                     if not rows:
                         continue
                 _join(rule.plan(i), 0, rows, env, relations, index, rule.head, out)
@@ -303,12 +358,6 @@ def _fixpoint(looped, relations, index, hb_size: int):
         _extend(relations, index, delta)
 
 
-# GroundAtom(pred, args) from a (pred, args) pair by tuple.__new__, which runs
-# in C; a NamedTuple's own __new__ is a Python function, and least_model
-# builds one atom per derived fact
-_ground_atom = functools.partial(tuple.__new__, GroundAtom)
-
-
 def least_model(prog: Program) -> frozenset:
     """Least fixpoint of the immediate-consequence step over the compiled BK.
 
@@ -320,7 +369,7 @@ def least_model(prog: Program) -> frozenset:
     if not looped:
         return bk.atoms.union(units, *fired)
     relations, index = _seeded(bk, derived_preds, itertools.chain(units, *fired))
-    _fixpoint(looped, relations, index, _hb_size(bk, units, rules))
+    _fixpoint(looped, relations, index, functools.partial(_hb_size, bk, units, rules))
     return bk.atoms.union(*(map(_ground_atom, zip(itertools.repeat(p), relations[p])) for p in derived_preds))
 
 

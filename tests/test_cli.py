@@ -22,6 +22,9 @@ MERGE_FAULT = (
 # no task; a constant repeated within one fact, and a unary predicate
 FACTS_ONLY = "q(a, b).\nloop(b, b).\nu(a).\n"
 
+# non-ASCII predicate and constant names, which JSON output escapes
+NON_ASCII = "père(a, zoë).\npère(zoë, c).\n#target parent/2.\n#positive parent(a, zoë).\n#negative parent(a, c).\n"
+
 
 def run_cli(*argv, env_extra=None):
     import os
@@ -343,10 +346,11 @@ def test_enumerate_count_flags_take_ascii_digits_only(collision_path, capsys, fl
     pytest.param(COLLISION, ["--max-clauses", "2", "--max-vars", "3", "--max-body", "2", "--limit", "40"],
                  id="collision"),
     pytest.param(FAMILY, [], id="no-candidates"),  # the bias prelude spends the cap
+    pytest.param(NON_ASCII, ["--max-clauses", "1", "--max-vars", "2", "--limit", "20"], id="non-ascii"),
 ])
 def test_enumerate_json_streams_the_buffered_layout(tmp_path, kb_text, flags):
     p = tmp_path / "kb.kb"
-    p.write_text(kb_text)
+    p.write_text(kb_text, encoding="utf-8")
     streamed = run_cli("enumerate", str(p), "--json", *flags).stdout
     doc = json.loads(streamed)
     assert streamed == json.dumps(doc, indent=2) + "\n"
@@ -374,11 +378,12 @@ def test_enumerate_counts_below_one_exit_2(collision_path, flag, value, name):
     pytest.param(BRIDGE, id="bridge"),  # invention: "invented" is not empty
     pytest.param("q(a, b).\n#target t/2.\n#positive t(c, d).\n", id="no-hypothesis"),
     pytest.param(MERGE_FAULT, id="merge-fault"),
+    pytest.param(NON_ASCII, id="non-ascii"),
     *[pytest.param(random_kb(seed), id=f"corpus-{seed}") for seed in range(0, 500, 20)],
 ])
 def test_learn_json_is_written_in_the_json_dumps_layout(tmp_path, capsys, kb_text):
     p = tmp_path / "kb.kb"
-    p.write_text(kb_text)
+    p.write_text(kb_text, encoding="utf-8")
     rc = main(["learn", str(p), "--json"])
     written = capsys.readouterr().out
     doc = json.loads(written)

@@ -574,3 +574,23 @@ def test_structural_set_keys_merge_as_rendered_text(monkeypatch, kb_text):
         render_clause(c.head, c.body, self.sym) for c in clauses))
     kb = parse_kb(kb_text)
     assert learn(compile_kb(kb), kb.task).hypotheses == structural
+
+
+# the graphs benchmark's chain40 KB: a 40-node path, a positive that needs
+# recursion (no body of 2 literals reaches n35 from n0), and two negatives
+# that point back along the path
+CHAIN40 = ("".join(f"edge(n{i}, n{i + 1}).\n" for i in range(39))
+           + "#target path/2.\n#positive path(n0, n35).\n#negative path(n21, n13).\n#negative path(n36, n34).\n")
+
+
+@pytest.mark.parametrize("max_body", [
+    2,
+    # open fault: at cap 3 momentum prunes every depth-1 candidate of the
+    # main walk, invention fires only at depth max_body - 1, and the witness
+    # walk cannot express recursion, so the set found at cap 2 is lost
+    pytest.param(3, marks=pytest.mark.xfail(strict=True, reason="a larger body cap loses the recursive set")),
+])
+def test_chain40_learns_the_recursive_set_at_each_body_cap(max_body):
+    kb = parse_kb(CHAIN40)
+    task = replace(kb.task, max_body=max_body)
+    assert len(learn(compile_kb(kb), task).hypotheses) == 1

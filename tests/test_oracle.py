@@ -389,6 +389,63 @@ def test_flat_rule_joins_the_bk_once_per_compiled_bk(monkeypatch):
     assert len(joins) == 2 * once
 
 
+def _relabelled(clause: Clause, preds: dict, consts: dict) -> Clause:
+    """The clause with its predicates and constants renamed; variables kept."""
+    rename = lambda atom: Atom(preds[atom.pred], tuple(t if isinstance(t, Var) else consts[t] for t in atom.args))
+    return Clause(rename(clause.head), tuple(map(rename, clause.body)))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_rules_sharing_a_variable_pattern_over_two_bks_match_naive_fixpoint(data):
+    """A renaming that keeps arities and keeps distinct constants distinct
+    keeps a rule's variable pattern, so the second program compiles onto the
+    skeletons the first one left; each still gets its own model."""
+    clauses = data.draw(st.lists(st.one_of(_rule(), UNIT), min_size=1, max_size=4))
+    binary = sorted(p for p, arity in ARITY.items() if arity == 2)
+    preds = dict(zip(binary, data.draw(st.permutations(binary)))) | {2: 2}
+    consts = dict(enumerate(data.draw(st.permutations(range(4)))))
+    relabelled = [_relabelled(c, preds, consts) for c in clauses]
+    facts = [data.draw(st.lists(GROUND, max_size=10)) for _ in range(2)]
+    positives, negatives = data.draw(st.lists(GROUND, max_size=3)), data.draw(st.lists(GROUND, max_size=3))
+    for program, bk_facts in [(clauses, facts[0]), (relabelled, facts[1]), (clauses, facts[1])]:
+        bk = Bk(bk_facts)
+        expected = _naive_model(bk_facts, program)
+        assert least_model(Program(bk, program)) == expected
+        assert verify(bk, program, positives, negatives) == _naive_verdict(expected, positives, negatives)
+    for clause, twin in zip(clauses, relabelled):
+        if clause.body:
+            assert oracle._Rule(clause).skeleton is oracle._Rule(twin).skeleton
+
+
+def test_rule_not_range_restricted_raises_in_every_bk_after_its_pattern_is_cached():
+    # t(X, Y) :- q(X, X) and its renaming u(X, Y) :- r(X, X) share one pattern
+    bad = Clause(Atom(3, (Var(0), Var(1))), (Atom(0, (Var(0), Var(0))),))
+    twin = _relabelled(bad, {0: 1, 3: 0}, {})
+    facts = [GroundAtom(0, (0, 0)), GroundAtom(1, (1, 1))]
+    for clause in (bad, bad, twin):
+        with pytest.raises(RangeRestrictionFault):
+            least_model(Program(Bk(facts), [clause]))
+    assert oracle._Rule(bad).skeleton is oracle._Rule(twin).skeleton
+    assert not oracle._Rule(twin).skeleton.range_restricted
+
+
+@pytest.mark.parametrize("n_nodes, rounds", [(3, 2), (4, 3)])
+def test_herbrand_bound_is_computed_at_round_3_and_still_trips(monkeypatch, n_nodes, rounds):
+    """path over a chain of n nodes needs n - 1 fixpoint rounds.  A bound of
+    1 allows two, and the bound is not computed before a third."""
+    calls = []
+    monkeypatch.setattr(oracle, "_hb_size", lambda *args: calls.append(args) or 1)
+    program = Program(Bk(_chain(n_nodes)), PATH_RULES)
+    if rounds < 3:
+        assert GroundAtom(PATH, (0, n_nodes - 1)) in least_model(program)
+        assert calls == []
+    else:
+        with pytest.raises(RuntimeError, match="Herbrand-base bound"):
+            least_model(program)
+        assert len(calls) == 1
+
+
 def test_model_minimality_spot_check():
     kb, clauses = family_with_solution()
     model = least_model(Program(list(kb.facts), list(clauses)))
