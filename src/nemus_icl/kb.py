@@ -182,9 +182,10 @@ class InventionBias(NamedTuple):
     sources: tuple  # predicate codes sharing the invented predicate's arity
 
     def definitions(self, arity: int) -> tuple:
-        """invented(X, ...) :- source(X, ...), one clause per source."""
+        """invented(X, ...) :- source(X, ...), one clause per distinct source,
+        in first-seen order."""
         head = Atom(self.invented, tuple(Var(i) for i in range(arity)))
-        return tuple(Clause(head, (Atom(src, head.args),)) for src in self.sources)
+        return tuple(Clause(head, (Atom(src, head.args),)) for src in dict.fromkeys(self.sources))
 
 
 @dataclass(frozen=True)
@@ -354,7 +355,7 @@ class _Parser:
             raise ParseError(f"arity {arity} not supported (only 1 and 2)", t.line, t.col)
         return name, arity, t.line, t.col
 
-    def parse_atom(self, allow_vars: bool, varmap: Optional[dict] = None):
+    def parse_atom(self, allow_vars: bool):
         """Parse name(term, ...) and intern it; returns (Atom, line, col)."""
         t = self.expect("name")
         self.expect("punct", "(")
@@ -368,10 +369,7 @@ class _Parser:
                 if not allow_vars:
                     raise ValidationError(f"variable {a.value!r} in a ground context", a.line, a.col)
                 self.next()
-                code = self.symbols.intern_variable(a.value)
-                if varmap is not None:
-                    varmap.setdefault(a.value, Var(code))
-                args.append(Var(code))
+                args.append(Var(self.symbols.intern_variable(a.value)))
             else:
                 raise ParseError(f"expected a term, found {self._show(a)}", a.line, a.col)
             if self.peek().value == ",":

@@ -14,8 +14,11 @@ atoms.  Only the rules that read a derived predicate enter semi-naive
 evaluation (Bancilhon & Ramakrishnan 1986), whose joins fetch each atom after
 the delta atom through the index, as in Souffle (Jordan et al., CAV 2016).
 Join plans and the range-restriction check depend only on a rule's variable
-pattern, so they are compiled once per pattern and shared by every rule of
-that pattern, over every BK.
+pattern, so they are compiled once per pattern, for every body position, and
+shared by every rule of that pattern, over every BK; a plan names body
+positions, and the join reads each step's predicate from the rule.  Range
+restriction is decided once per kind of clause: by the pattern for a rule, by
+groundness for a unit.
 
 The examples are ground, so a verdict needs only the atoms they demand.  On a
 BK with at least DEMAND_MIN_CONSTANTS constants, verify replaces the looped
@@ -102,70 +105,51 @@ def _range_restricted(head, body) -> bool:
     return atom_vars(head) <= set().union(*map(atom_vars, body))
 
 
-def _check_range_restricted(rule: Clause):
-    if not _range_restricted(rule.head, rule.body):
-        raise RangeRestrictionFault(rule)
-
-
 # GroundAtom(pred, args) from a (pred, args) pair by tuple.__new__, which runs
 # in C; a NamedTuple's own __new__ is a Python function, and least_model and
 # _Rule.bk_consequences build one atom per derived fact
 _ground_atom = functools.partial(tuple.__new__, GroundAtom)
 
 
-class _Step(NamedTuple):
-    """One body atom of a join plan."""
-
-    pred: int
-    key: Optional[tuple]  # (position, slot) of the index lookup; None scans the relation
-    binds: tuple  # (position, slot): the first occurrence of a variable
-    tests: tuple  # (position, slot): must equal the value the slot holds
-
-
 class _Skeleton:
     """What every rule with one variable pattern shares: its range
-    restriction and its join plans, which name body positions, not
-    predicates.  The pattern is each atom's slot tuple, head first, with
-    slots numbered by first occurrence, plus the slots that hold constants."""
+    restriction and plans[first], the join plan that reads body atom `first`
+    from the delta.  The pattern is each atom's slot tuple, head first, with
+    slots numbered by first occurrence, plus the slots that hold constants.
+
+    A plan step is (body position, key, binds, tests), each a (position,
+    slot) pair or tuple of them: the index lookup (None scans the relation),
+    a variable's first occurrence, and an argument that must equal its bound
+    slot.  Each atom after the first is the first remaining one with a bound
+    argument, fetched through the index on that argument."""
 
     def __init__(self, atoms: tuple, constant_slots: tuple):
-        self.atoms = atoms
-        self.constant_slots = constant_slots
-        body_slots = set().union(*atoms[1:])
-        self.range_restricted = body_slots.issuperset(set(atoms[0]).difference(constant_slots))
-        self.plans: dict = {}
+        body = atoms[1:]
+        self.range_restricted = set().union(*body).issuperset(set(atoms[0]).difference(constant_slots))
+        self.plans = tuple(_plan(body, constant_slots, first) for first in range(len(body)))
 
-    def plan(self, first: int) -> tuple:
-        """(body position, key, binds, tests) per step, body atom `first`
-        read from the delta.  Each later atom is the first remaining one with
-        a bound argument, fetched through the index on that argument; one
-        with none scans its relation."""
-        steps = self.plans.get(first)
-        if steps is not None:
-            return steps
-        body = self.atoms[1:]
-        bound = set(self.constant_slots)
-        remaining = [j for j in range(len(body)) if j != first]
-        steps = []
-        j = first
-        while True:
-            key = None
-            if steps:
-                key = next(((pos, s) for pos, s in enumerate(body[j]) if s in bound), None)
-            binds, tests = [], []
-            for pos, s in enumerate(body[j]):
-                if s not in bound:
-                    binds.append((pos, s))
-                    bound.add(s)
-                elif (pos, s) != key:
-                    tests.append((pos, s))
-            steps.append((j, key, tuple(binds), tuple(tests)))
-            if not remaining:
-                break
-            j = next((j for j in remaining if any(s in bound for s in body[j])), remaining[0])
-            remaining.remove(j)
-        steps = self.plans[first] = tuple(steps)
-        return steps
+
+def _plan(body, constant_slots, first: int) -> tuple:
+    bound = set(constant_slots)
+    remaining = [j for j in range(len(body)) if j != first]
+    steps = []
+    j = first
+    while True:
+        key = None
+        if steps:
+            key = next(((pos, s) for pos, s in enumerate(body[j]) if s in bound), None)
+        binds, tests = [], []
+        for pos, s in enumerate(body[j]):
+            if s not in bound:
+                binds.append((pos, s))
+                bound.add(s)
+            elif (pos, s) != key:
+                tests.append((pos, s))
+        steps.append((j, key, tuple(binds), tuple(tests)))
+        if not remaining:
+            return tuple(steps)
+        j = next((j for j in remaining if any(s in bound for s in body[j])), remaining[0])
+        remaining.remove(j)
 
 
 # variable pattern -> _Skeleton; bounded by the distinct patterns of the
@@ -175,10 +159,10 @@ _SKELETONS: dict = {}
 
 class _Rule:
     """A rule's variables and constants numbered as slots of one environment
-    list (constants pre-bound).  Its join plans are compiled once per
-    variable pattern, in the _Skeleton every rule of that pattern shares;
-    the rule attaches its body predicates to them, and keeps its head atoms
-    over the BK it is compiled for, on first use."""
+    list (constants pre-bound), its head slots and its body predicates by
+    position.  Its join plans are those of the _Skeleton every rule of its
+    variable pattern shares, read against `preds`; the rule keeps its head
+    atoms over the BK it is compiled for, on first use."""
 
     def __init__(self, rule: Clause):
         self.clause = rule
@@ -194,18 +178,7 @@ class _Rule:
         if skeleton is None:
             skeleton = _SKELETONS[key] = _Skeleton(*key)
         self.skeleton = skeleton
-        self.plans: dict = {}
         self.fired: Optional[frozenset] = None  # see bk_consequences
-
-    # the Herbrand-base bound reads these two, and only a fixpoint that
-    # reaches round 3 computes it
-    @functools.cached_property
-    def arities(self) -> tuple:
-        return tuple((atom.pred, len(atom.args)) for atom in (self.clause.head, *self.clause.body))
-
-    @functools.cached_property
-    def constants(self) -> frozenset:
-        return frozenset(v for v in self.env if v is not None)
 
     def bk_consequences(self, bk: Bk) -> frozenset:
         """The head atoms of every match over the BK alone: all the rule adds
@@ -214,44 +187,38 @@ class _Rule:
         if self.fired is None:
             out: set = set()
             rows = bk.relations.get(self.preds[0], ())
-            _join(self.plan(0), 0, rows, list(self.env), bk.relations, bk.index, self.head, out)
+            _join(self.skeleton.plans[0], 0, rows, list(self.env), self.preds, bk.relations, bk.index, self.head, out)
             self.fired = frozenset(map(_ground_atom, zip(itertools.repeat(self.pred), out)))
         return self.fired
-
-    def plan(self, first: int) -> tuple:
-        """The skeleton's join plan with body atom `first` read from the
-        delta, each step naming its body atom's predicate."""
-        steps = self.plans.get(first)
-        if steps is None:
-            preds = self.preds
-            steps = self.plans[first] = tuple(_Step(preds[j], key, binds, tests)
-                                              for j, key, binds, tests in self.skeleton.plan(first))
-        return steps
 
 
 _NO_INDEX: dict = {}
 
 
-def _join(steps, k: int, rows, env: list, relations, index, head, out: set):
+def _join(steps, k: int, rows, env: list, preds, relations, index, head, out: set):
     """Add to `out` the head of every match of steps[k:], step k drawing its
-    argument tuples from `rows`."""
-    step = steps[k]
-    nxt = steps[k + 1] if k + 1 < len(steps) else None
+    argument tuples from `rows`.  A step names a body position; `preds`,
+    the rule's body predicates, names the relation it reads."""
+    _, _, binds, tests = steps[k]
+    last = k + 1 == len(steps)
+    if not last:
+        j, key, _, _ = steps[k + 1]
+        pred = preds[j]
     for args in rows:
-        for pos, s in step.binds:
+        for pos, s in binds:
             env[s] = args[pos]
-        for pos, s in step.tests:
+        for pos, s in tests:
             if args[pos] != env[s]:
                 break
         else:
-            if nxt is None:
+            if last:
                 out.add(tuple([env[s] for s in head]))
-            elif nxt.key is None:
-                _join(steps, k + 1, relations.get(nxt.pred, ()), env, relations, index, head, out)
+            elif key is None:
+                _join(steps, k + 1, relations.get(pred, ()), env, preds, relations, index, head, out)
             else:
-                pos, s = nxt.key
-                found = index.get(nxt.pred, _NO_INDEX).get((pos, env[s]), ())
-                _join(steps, k + 1, found, env, relations, index, head, out)
+                pos, s = key
+                found = index.get(pred, _NO_INDEX).get((pos, env[s]), ())
+                _join(steps, k + 1, found, env, preds, relations, index, head, out)
 
 
 def _extend(relations, index, fresh: dict):
@@ -266,17 +233,20 @@ def _extend(relations, index, fresh: dict):
 
 def _split(bk: Bk, clauses) -> tuple:
     """(rules, units, derived predicates, flat atoms, looped rules) of a
-    program over the compiled BK, range restriction checked clause by clause
-    in order.  A flat rule, whose body reads no predicate that a rule or
-    ground unit of the program derives, contributes its kept matches over the
-    BK; only the looped rules need a fixpoint."""
+    program over the compiled BK.  Range restriction is checked clause by
+    clause in program order, so a fault names the first offending clause: a
+    rule by its skeleton, a unit by being ground.  A flat rule, whose body
+    reads no predicate that a rule or ground unit of the program derives,
+    contributes its kept matches over the BK; only the looped rules need a
+    fixpoint."""
     rules, units = [], []
     for clause in clauses:
         if clause.body:
             rules.append(bk.rule(clause))
-        else:
-            _check_range_restricted(clause)
+        elif is_ground(clause.head):
             units.append(GroundAtom(*clause.head))
+        else:
+            raise RangeRestrictionFault(clause)
     derived_preds = {rule.pred for rule in rules} | {atom.pred for atom in units}
     fired, looped = [], []
     for rule in rules:
@@ -287,18 +257,15 @@ def _split(bk: Bk, clauses) -> tuple:
     return rules, units, derived_preds, fired, looped
 
 
-def _hb_size(bk: Bk, atoms, rules) -> int:
-    """Size of the Herbrand base of the BK, the ground atoms and the rules.
-    The fixpoint's rounds are bounded by it; the cap is a tripwire, not a
-    knob, and counts every rule, the flat ones too."""
+def _hb_size(bk: Bk, atoms) -> int:
+    """Size of the Herbrand base of the BK and the atoms of a program's
+    clauses.  The fixpoint's rounds are bounded by it; the cap is a
+    tripwire, not a knob, and counts every rule, the flat ones too."""
     arities = dict(bk.arities)
     constants = set()
     for atom in atoms:
         arities[atom.pred] = len(atom.args)
-        constants.update(atom.args)
-    for rule in rules:
-        arities.update(rule.arities)
-        constants |= rule.constants
+        constants.update(t for t in atom.args if not isinstance(t, Var))
     n_constants = len(bk.constants) + len(constants - bk.constants)
     return sum(max(1, n_constants) ** a for a in arities.values())
 
@@ -338,6 +305,7 @@ def _fixpoint(looped, relations, index, hb_size):
         for rule in looped:
             out = derived.setdefault(rule.pred, set())
             env = list(rule.env)
+            plans = rule.skeleton.plans
             for i, pred in enumerate(rule.preds):
                 if delta is None:
                     if i:
@@ -347,7 +315,7 @@ def _fixpoint(looped, relations, index, hb_size):
                     rows = delta.get(pred)
                     if not rows:
                         continue
-                _join(rule.plan(i), 0, rows, env, relations, index, rule.head, out)
+                _join(plans[i], 0, rows, env, rule.preds, relations, index, rule.head, out)
         delta = {}
         for p, rows in derived.items():
             rows -= relations[p]
@@ -369,7 +337,8 @@ def least_model(prog: Program) -> frozenset:
     if not looped:
         return bk.atoms.union(units, *fired)
     relations, index = _seeded(bk, derived_preds, itertools.chain(units, *fired))
-    _fixpoint(looped, relations, index, functools.partial(_hb_size, bk, units, rules))
+    _fixpoint(looped, relations, index, lambda: _hb_size(bk, itertools.chain(
+        units, *((rule.clause.head, *rule.clause.body) for rule in rules))))
     return bk.atoms.union(*(map(_ground_atom, zip(itertools.repeat(p), relations[p])) for p in derived_preds))
 
 
@@ -445,11 +414,9 @@ def verify(bk, hypothesis, positives, negatives) -> Verdict:
     clauses in the hypothesis count as facts.  On a BK with at least
     DEMAND_MIN_CONSTANTS constants, the looped rules are replaced by their
     magic-set rewrite, and an example they define is read from its adorned
-    all-bound predicate in the model of the rewritten program."""
+    all-bound predicate in the model of the rewritten program.  Either way
+    a RangeRestrictionFault names the first offending clause in order."""
     clauses = list(hypothesis)
-    for clause in clauses:
-        if not clause.body and not is_ground(clause.head):
-            raise RangeRestrictionFault(clause)
     bk = _compiled(bk)
     heads = ()
     if len(bk.constants) >= DEMAND_MIN_CONSTANTS:

@@ -1,0 +1,64 @@
+"""The corpus and enumerate capture that pins the learner's outputs.
+
+`tests/golden/corpus.learn.sha256` holds one line per corpus seed
+(`<seed> <number of sets> <digest>`, the digest covering the rendered sets,
+the invented predicates and the stats) and one per README KB
+(`enumerate-<name> <number of sets> <digest>`, covering each enumerated set
+with its verdict and failed example).  Regenerate it, after a change that is
+meant to move an output, with
+
+    PYTHONPATH=src python tests/capture.py > tests/golden/corpus.learn.sha256
+"""
+
+import functools
+import hashlib
+import json
+from dataclasses import asdict
+
+from conftest import BRIDGE, COLLISION, FAMILY
+from corpus import CORPUS_SIZE, random_kb
+from nemus_icl import EnumCaps, compile_kb, enumerate_hypotheses, learn, parse_kb, render_clause, render_ground_atom
+
+# small enough that the three streams run in well under a second
+ENUM_CASES = (
+    ("family", FAMILY, EnumCaps(max_body=2, max_clauses=3, max_vars=3)),
+    ("collision", COLLISION, EnumCaps(max_body=2, max_clauses=2, max_vars=2)),
+    ("bridge", BRIDGE, EnumCaps(max_body=2, max_clauses=2, max_vars=2)),
+)
+
+
+@functools.cache
+def learned_corpus() -> tuple:
+    """(kb, learn result) per corpus seed, at the KB's own settings; learned
+    once per process and shared by every test that reads it."""
+    kbs = [parse_kb(random_kb(seed)) for seed in range(CORPUS_SIZE)]
+    return tuple((kb, learn(compile_kb(kb), kb.task)) for kb in kbs)
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+
+
+def _renderer(symbols):
+    """Clause set -> list of rendered clauses, each clause rendered once."""
+    text = functools.cache(lambda c: render_clause(c.head, c.body, symbols))
+    return lambda clauses: [text(c) for c in clauses]
+
+
+def capture_lines() -> list:
+    lines = []
+    for seed, (kb, result) in enumerate(learned_corpus()):
+        doc = (list(map(_renderer(kb.symbols), result.hypotheses)),
+               [kb.symbols.render_sig(p) for p in result.invented], asdict(result.stats))
+        lines.append(f"{seed} {len(result.hypotheses)} {_digest(doc)}")
+    for name, text, caps in ENUM_CASES:
+        kb = parse_kb(text)
+        rendered = _renderer(kb.symbols)
+        stream = [(rendered(clauses), verdict.ok, verdict.failed and render_ground_atom(verdict.failed, kb.symbols))
+                  for clauses, verdict in enumerate_hypotheses(kb.facts, kb.task, caps, kb.symbols)]
+        lines.append(f"enumerate-{name} {len(stream)} {_digest(stream)}")
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(capture_lines()))

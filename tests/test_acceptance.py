@@ -3,17 +3,18 @@
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 """
 
-import json
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import (
     BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_defines_what_it_reads, assert_index_invariants, render_set,
 )
+from capture import capture_lines, learned_corpus
 from corpus import CORPUS_SIZE, random_kb
 from nemus_icl import (
     EnumCaps,
@@ -96,8 +97,7 @@ def test_criterion_3_oracle_soundness_on_corpus():
     with _gate(3, f"oracle soundness over {CORPUS_SIZE} random KBs") as g:
         t0 = time.perf_counter()
         emitted = 0
-        for kb in _corpus_kbs():
-            result = learn(compile_kb(kb), kb.task)
+        for kb, result in learned_corpus():
             for clauses in result.hypotheses:
                 assert verify(kb.facts, clauses, kb.task.positives, kb.task.negatives).ok
                 assert_defines_what_it_reads(clauses, kb)
@@ -105,6 +105,19 @@ def test_criterion_3_oracle_soundness_on_corpus():
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
         g.detail = f"({emitted} sets verified in {elapsed:.1f}s)"
+
+
+def test_corpus_and_enumerate_outputs_match_the_capture():
+    """Every corpus seed's learned sets, invented predicates and stats, and
+    the enumerate streams of the README KBs, as digested in
+    tests/golden/corpus.learn.sha256.  A change meant to move an output
+    regenerates the file with
+    `PYTHONPATH=src python tests/capture.py > tests/golden/corpus.learn.sha256`."""
+    want = dict(line.split(" ", 1) for line in (Path(__file__).parent / "golden" / "corpus.learn.sha256")
+                .read_text().splitlines())
+    got = dict(line.split(" ", 1) for line in capture_lines())
+    differ = [key for key in {**want, **got} if want.get(key) != got.get(key)]
+    assert not differ, f"outputs differ from the capture for: {' '.join(differ)}"
 
 
 def test_criterion_4_brute_force_parity():

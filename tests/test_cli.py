@@ -182,6 +182,20 @@ def test_check_unrestricted_clause_is_rendered(tmp_path):
     assert proc.stderr == f"nemus-icl: error: {hyp}: clause is not range-restricted: q(X) :- p(Y).\n"
 
 
+@pytest.mark.parametrize("clauses, named", [
+    ("q(X) :- p(X).\nq(X) :- p(Y).\nq(X).\n", "q(X) :- p(Y)."),
+    ("q(X) :- p(X).\nq(X).\nq(X) :- p(Y).\n", "q(X)."),
+], ids=["rule-first", "unit-first"])
+def test_check_names_the_first_unrestricted_clause_in_file_order(tmp_path, clauses, named):
+    kb = tmp_path / "t.kb"
+    kb.write_text("p(a).\n#target q/1.\n#positive q(a).\n")
+    hyp = tmp_path / "loose.clauses"
+    hyp.write_text(clauses)
+    proc = run_cli("check", str(kb), "--hypothesis", str(hyp))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"nemus-icl: error: {hyp}: clause is not range-restricted: {named}\n"
+
+
 @pytest.mark.parametrize("command", ["learn", "check", "enumerate", "dump-nemus"])
 def test_input_that_is_not_utf8_exit_2(family_path, tmp_path, command):
     bad = tmp_path / "bad.txt"

@@ -112,6 +112,8 @@ def test_bias_definitions_one_clause_per_source():
         Clause(Atom(3, (x, y)), (Atom(1, (x, y)),)),
     )
     assert InventionBias(5, (2,)).definitions(1) == (Clause(Atom(5, (x,)), (Atom(2, (x,)),)),)
+    # a repeated source gives its clause once, where it first occurs
+    assert InventionBias(3, (1, 0, 1, 0)).definitions(2) == InventionBias(3, (1, 0)).definitions(2)
 
 
 def _open_hyp():

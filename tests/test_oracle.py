@@ -430,6 +430,34 @@ def test_rule_not_range_restricted_raises_in_every_bk_after_its_pattern_is_cache
     assert not oracle._Rule(twin).skeleton.range_restricted
 
 
+# q(X, Y) :- p(X) leaves Y unbound; the unit q(X, a) is not ground
+LOOSE_RULE = Clause(Atom(1, (Var(0), Var(1))), (Atom(0, (Var(0),)),))
+LOOSE_UNIT = Clause(Atom(1, (Var(0), 0)), ())
+SOUND_RULE = Clause(Atom(1, (Var(0), Var(0))), (Atom(0, (Var(0),)),))
+
+
+@pytest.mark.parametrize("gate", [None, 0], ids=["gate-as-is", "gate-0"])
+@pytest.mark.parametrize("program, first", [
+    ([LOOSE_RULE], LOOSE_RULE),
+    ([LOOSE_UNIT], LOOSE_UNIT),
+    ([SOUND_RULE, LOOSE_RULE, LOOSE_UNIT], LOOSE_RULE),
+    ([SOUND_RULE, LOOSE_UNIT, LOOSE_RULE], LOOSE_UNIT),
+], ids=["rule", "unit", "rule-then-unit", "unit-then-rule"])
+def test_range_restriction_fault_names_the_first_offending_clause(monkeypatch, gate, program, first):
+    """A rule by its pattern and a unit by being ground, checked once, in
+    program order, by least_model and by verify on both sides of the demand
+    gate."""
+    if gate is not None:
+        monkeypatch.setattr(oracle, "DEMAND_MIN_CONSTANTS", gate)
+    facts = [GroundAtom(0, (0,)), GroundAtom(0, (1,))]
+    calls = [lambda: least_model(Program(Bk(facts), program)),
+             lambda: verify(Bk(facts), program, [GroundAtom(1, (0, 0))], [GroundAtom(1, (1, 0))])]
+    for call in calls:
+        with pytest.raises(RangeRestrictionFault) as fault:
+            call()
+        assert fault.value.args == (first,)
+
+
 @pytest.mark.parametrize("n_nodes, rounds", [(3, 2), (4, 3)])
 def test_herbrand_bound_is_computed_at_round_3_and_still_trips(monkeypatch, n_nodes, rounds):
     """path over a chain of n nodes needs n - 1 fixpoint rounds.  A bound of
@@ -542,6 +570,32 @@ def test_enumerate_deterministic_stream():
         )
     ]
     assert take(kb1) == take(kb2)
+
+
+FAMILY_ENGLISH = FAMILY.replace(
+    "#positive ancestor(jake, bob).\n#invent parent/2 from father/2, mother/2.\n",
+    "consider induction on ancestor/2 knowing ancestor(jake, bob)\n"
+    "    assuming father/2 or father/2 or mother/2 defines parent/2.\n").replace("#target ancestor/2.\n", "")
+
+
+@pytest.mark.parametrize("kb_text", [
+    FAMILY.replace("from father/2, mother/2.", "from father/2, father/2, mother/2."),
+    FAMILY.replace("from father/2, mother/2.", "from father/2, mother/2, father/2, mother/2."),
+    FAMILY_ENGLISH,
+], ids=["invent", "invent-twice-each", "english"])
+def test_repeated_invent_source_leaves_the_enumerate_stream_as_it_is(kb_text):
+    """A repeated source adds no bias definition, so the prelude and the
+    clause cap left after it are the same as without the repeat."""
+    caps = EnumCaps(max_body=2, max_clauses=3, max_vars=3)
+
+    def stream(text):
+        kb = parse_kb(text)
+        return [(tuple(render_clause(c.head, c.body, kb.symbols) for c in clauses), verdict.ok)
+                for clauses, verdict in enumerate_hypotheses(kb.facts, kb.task, caps, kb.symbols)]
+
+    want = stream(FAMILY)
+    assert len(want) == 240
+    assert stream(kb_text) == want
 
 
 def _vars(atom) -> set:
