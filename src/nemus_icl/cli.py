@@ -252,7 +252,7 @@ def _cmd_enumerate(args) -> int:
                              + ',\n      "failed": ' + json.dumps(failed) + "\n    }")
         else:
             tag = _paint("Verified", "32", color) if verdict.ok else _paint(f"Fails({failed})", "31", color)
-            print(f"{tag}  " + " ".join(text(c) for c in clauses))
+            sys.stdout.write(tag + "  " + " ".join(map(text, clauses)) + "\n")
         if limit is not None and n >= limit:
             break
     if args.json:

@@ -18,7 +18,8 @@ pattern, so they are compiled once per pattern, for every body position, and
 shared by every rule of that pattern, over every BK; a plan names body
 positions, and the join reads each step's predicate from the rule.  Range
 restriction is decided once per kind of clause: by the pattern for a rule, by
-groundness for a unit.
+groundness for a unit.  A Bk keeps each clause it has compiled, a rule's _Rule
+or a ground unit's atom, so a clause that recurs over one BK is compiled once.
 
 The examples are ground, so a verdict needs only the atoms they demand.  On a
 BK with at least DEMAND_MIN_CONSTANTS constants, verify replaces the looped
@@ -28,10 +29,18 @@ clauses seeded with one magic unit per example, and least_model evaluates it
 like any other.  On smaller BKs the rewrite costs more than the whole model
 saves, and verify evaluates the program as given.  Either way, verify calls
 least_model once.
+
+The enumerator verifies many candidate sets after one prelude of bias
+definitions.  The definitions whose sources no candidate can extend are the
+lower part of every candidate's program, so they are fired into one base Bk
+per stream; a definition that reads the target, directly or through another
+bias, stays in each verified program, since what it derives depends on the
+candidate.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -51,8 +60,9 @@ class Bk:
     join index ((position, constant) -> argument tuples), and the constants
     and arities that feed the Herbrand-base bound.  The facts are never
     written after construction: a fixpoint copies the relations it derives
-    into.  Rules are compiled on first use and kept for the next call, and
-    with them the head atoms of each rule fired over the BK alone.
+    into.  Clauses are compiled on first use and kept for the next call: a
+    rule as its _Rule, with the head atoms of the rule fired over the BK
+    alone, and a ground unit as its GroundAtom.
     """
 
     def __init__(self, facts):
@@ -66,17 +76,25 @@ class Bk:
         _extend(self.relations, self.index, self.relations)  # indexes every fact
         self.constants = frozenset(c for rows in self.relations.values() for args in rows for c in args)
         self.atoms = frozenset(GroundAtom(p, args) for p, rows in self.relations.items() for args in rows)
-        self._rules: dict = {}  # Clause -> _Rule
+        self._rules: dict = {}  # Clause -> _Rule, or GroundAtom for a ground unit
 
-    def rule(self, clause: Clause) -> "_Rule":
-        """The compiled form of a rule; range restriction is checked on first use."""
-        compiled_rule = self._rules.get(clause)
-        if compiled_rule is None:
-            compiled_rule = _Rule(clause)
-            if not compiled_rule.skeleton.range_restricted:
+    def compiled(self, clause: Clause):
+        """The _Rule of a rule or the GroundAtom of a ground unit; range
+        restriction is checked on first use, a rule's by its skeleton and a
+        unit's by being ground.  A faulty clause is never kept, so it raises
+        on every call."""
+        compiled = self._rules.get(clause)
+        if compiled is None:
+            if clause.body:
+                compiled = _Rule(clause)
+                if not compiled.skeleton.range_restricted:
+                    raise RangeRestrictionFault(clause)
+            elif is_ground(clause.head):
+                compiled = GroundAtom(*clause.head)
+            else:
                 raise RangeRestrictionFault(clause)
-            self._rules[clause] = compiled_rule
-        return compiled_rule
+            self._rules[clause] = compiled
+        return compiled
 
 
 def _compiled(bk) -> Bk:
@@ -233,21 +251,16 @@ def _extend(relations, index, fresh: dict):
 
 def _split(bk: Bk, clauses) -> tuple:
     """(rules, units, derived predicates, flat atoms, looped rules) of a
-    program over the compiled BK.  Range restriction is checked clause by
-    clause in program order, so a fault names the first offending clause: a
-    rule by its skeleton, a unit by being ground.  A flat rule, whose body
-    reads no predicate that a rule or ground unit of the program derives,
-    contributes its kept matches over the BK; only the looped rules need a
-    fixpoint."""
-    rules, units = [], []
+    program over the compiled BK.  The clauses are compiled in program order,
+    so a RangeRestrictionFault names the first offending clause.  A flat
+    rule, whose body reads no predicate that a rule or ground unit of the
+    program derives, contributes its kept matches over the BK; only the
+    looped rules need a fixpoint."""
+    rules, units, derived_preds = [], [], set()
     for clause in clauses:
-        if clause.body:
-            rules.append(bk.rule(clause))
-        elif is_ground(clause.head):
-            units.append(GroundAtom(*clause.head))
-        else:
-            raise RangeRestrictionFault(clause)
-    derived_preds = {rule.pred for rule in rules} | {atom.pred for atom in units}
+        compiled = bk.compiled(clause)
+        (units if isinstance(compiled, GroundAtom) else rules).append(compiled)
+        derived_preds.add(compiled.pred)
     fired, looped = [], []
     for rule in rules:
         if rule.body_preds.isdisjoint(derived_preds):
@@ -485,6 +498,27 @@ def _body_pool(preds_with_arity, variables):
             yield Atom(pred, args)
 
 
+def _base(bk: Bk, target, definitions) -> tuple:
+    """(base, reached): the BK with every bias definition that no candidate
+    can reach fired into it, and the definitions that stay in each verified
+    program.  definitions holds one tuple per bias, in bias order.  A
+    definition fires when its source is settled: not the target, and not the
+    head of a definition that is reached or still to come, so neither a
+    candidate nor a reached definition can add to what it reads.  The fired
+    definitions of one bias join the BK built so far, whose facts their
+    consequences then extend."""
+    unsettled = collections.Counter(d.head.pred for defs in definitions for d in defs)
+    unsettled[target] += 1
+    base, reached = bk, []
+    for defs in definitions:
+        fired = [d for d in defs if not unsettled[d.body[0].pred]]
+        reached += [d for d in defs if unsettled[d.body[0].pred]]
+        if fired:
+            base = Bk(itertools.chain(base.facts, *(base.compiled(d).bk_consequences(base) for d in fired)))
+            unsettled.subtract(d.head.pred for d in fired)
+    return base, tuple(reached)
+
+
 def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
     """Exhaustive, deterministic stream of (clause set, verdict) within caps.
 
@@ -493,13 +527,23 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
     unit target clauses as the body-0 stratum (positives excluded: the example
     itself is a vacuous hypothesis).  Bias definition clauses, when present,
     are a fixed prelude counted against the clause cap.
+
+    Every candidate derives only the target, so a bias definition whose
+    source reads neither the target nor, through other biases, an invented
+    predicate that does, has the same consequences in every candidate's
+    program (the splitting-set theorem, Lifschitz & Turner, ICLP 1994).
+    Those definitions are fired into one base Bk for the stream, and each
+    candidate is verified as the remaining definitions plus its own clauses
+    against that base.  A definition that reads the target stays in the
+    verified program: its consequences depend on what the candidate derives.
+    Each row still lists the whole prelude.
     """
     _, target_arity = symbols.predicate_sig(task.target)
     head = Atom(task.target, tuple(Var(i) for i in range(target_arity)))
     variables = [Var(i) for i in range(caps.max_vars)]
 
-    prelude = tuple(itertools.chain.from_iterable(
-        bias.definitions(symbols.predicate_sig(bias.invented)[1]) for bias in task.biases))
+    definitions = [bias.definitions(symbols.predicate_sig(bias.invented)[1]) for bias in task.biases]
+    prelude = tuple(itertools.chain.from_iterable(definitions))
     budget = caps.max_clauses - len(prelude)
     if budget <= 0:
         return
@@ -539,7 +583,7 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
             seen.add(canon)
             pool.append(Clause(head, tuple(body)))
 
+    base, reached = _base(bk, task.target, definitions)
     for size in range(1, budget + 1):
         for combo in itertools.combinations(pool, size):
-            clauses = prelude + combo
-            yield clauses, verify(bk, clauses, task.positives, task.negatives)
+            yield prelude + combo, verify(base, reached + combo, task.positives, task.negatives)

@@ -2,10 +2,11 @@
 
 `tests/golden/corpus.learn.sha256` holds one line per corpus seed
 (`<seed> <number of sets> <digest>`, the digest covering the rendered sets,
-the invented predicates and the stats) and one per README KB
-(`enumerate-<name> <number of sets> <digest>`, covering each enumerated set
-with its verdict and failed example).  Regenerate it, after a change that is
-meant to move an output, with
+the invented predicates and the stats) and one per enumerated KB, the README
+KBs and two bias KBs under `tests/golden/` (`enumerate-<name> <number of
+sets> <digest>`, covering each enumerated set with its verdict and failed
+example).  Regenerate it, after a change that is meant to move an output,
+with
 
     PYTHONPATH=src python tests/capture.py > tests/golden/corpus.learn.sha256
 """
@@ -14,16 +15,25 @@ import functools
 import hashlib
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 from conftest import BRIDGE, COLLISION, FAMILY
 from corpus import CORPUS_SIZE, random_kb
 from nemus_icl import EnumCaps, compile_kb, enumerate_hypotheses, learn, parse_kb, render_clause, render_ground_atom
 
-# small enough that the three streams run in well under a second
+GOLDEN = Path(__file__).parent / "golden"
+
+# small enough that the streams run in well under a second.  In
+# invent_target_source the target is an invention source, and in invent_chain
+# one bias reads another that reads the target: a bias definition the
+# candidates reach must be verified with each candidate, not fired once
 ENUM_CASES = (
     ("family", FAMILY, EnumCaps(max_body=2, max_clauses=3, max_vars=3)),
     ("collision", COLLISION, EnumCaps(max_body=2, max_clauses=2, max_vars=2)),
     ("bridge", BRIDGE, EnumCaps(max_body=2, max_clauses=2, max_vars=2)),
+    ("invent_target_source", (GOLDEN / "invent_target_source.kb").read_text(),
+     EnumCaps(max_body=2, max_clauses=3, max_vars=3)),
+    ("invent_chain", (GOLDEN / "invent_chain.kb").read_text(), EnumCaps(max_body=2, max_clauses=4, max_vars=3)),
 )
 
 

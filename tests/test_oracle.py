@@ -458,6 +458,25 @@ def test_range_restriction_fault_names_the_first_offending_clause(monkeypatch, g
         assert fault.value.args == (first,)
 
 
+def test_units_compile_once_per_bk_and_a_non_ground_unit_raises_on_every_call():
+    """A ground unit is kept with the Bk it was compiled for; a non-ground
+    one is never kept, so it raises again after ground units of its
+    predicate are."""
+    facts = [GroundAtom(0, (0,)), GroundAtom(0, (1,))]
+    bk = Bk(facts)
+    ground = Clause(Atom(1, (0, 1)), ())
+    models = [least_model(Program(bk, [ground])) for _ in range(2)]
+    assert models[0] == models[1] == frozenset(facts) | {GroundAtom(1, (0, 1))}
+    for _ in range(2):
+        assert verify(bk, [ground], [GroundAtom(1, (0, 1))], [GroundAtom(1, (1, 0))]).ok
+    for _ in range(2):
+        for call in (lambda: least_model(Program(bk, [ground, LOOSE_UNIT])),
+                     lambda: verify(bk, [ground, LOOSE_UNIT], [GroundAtom(1, (0, 1))], [])):
+            with pytest.raises(RangeRestrictionFault) as fault:
+                call()
+            assert fault.value.args == (LOOSE_UNIT,)
+
+
 @pytest.mark.parametrize("n_nodes, rounds", [(3, 2), (4, 3)])
 def test_herbrand_bound_is_computed_at_round_3_and_still_trips(monkeypatch, n_nodes, rounds):
     """path over a chain of n nodes needs n - 1 fixpoint rounds.  A bound of
@@ -596,6 +615,46 @@ def test_repeated_invent_source_leaves_the_enumerate_stream_as_it_is(kb_text):
     want = stream(FAMILY)
     assert len(want) == 240
     assert stream(kb_text) == want
+
+
+@st.composite
+def _invent_kb(draw) -> str:
+    """A KB over e/2, f/2 and the target t/2, each with facts, and one or two
+    biases.  A source may be the target, and the second bias may read the
+    first, so an invented predicate may read the target through another."""
+    pairs = [(x, y) for x in "abc" for y in "abc"]
+    rows = {p: draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True)) for p in "eft"}
+    examples = draw(st.lists(st.sampled_from([xy for xy in pairs if xy not in rows["t"]]),
+                             min_size=1, max_size=3, unique=True))
+    n_pos = draw(st.integers(1, len(examples)))
+    sources = lambda preds: ", ".join(f"{p}/2" for p in draw(
+        st.lists(st.sampled_from(preds), min_size=1, max_size=len(preds), unique=True)))
+    lines = [f"{p}({x},{y})." for p, xys in rows.items() for x, y in xys]
+    lines += ["#target t/2."] + [f"#positive t({x},{y})." for x, y in examples[:n_pos]]
+    lines += [f"#negative t({x},{y})." for x, y in examples[n_pos:]]
+    lines.append(f"#invent p/2 from {sources('eft')}.")
+    if draw(st.booleans()):
+        lines.append(f"#invent q/2 from {sources('eftp')}.")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("gate", [oracle.DEMAND_MIN_CONSTANTS, 0], ids=["gate-as-is", "gate-0"])
+@given(kb_text=_invent_kb(), budget=st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_enumerate_verdicts_match_verify_over_the_plain_facts(gate, kb_text, budget):
+    """The stream verifies its candidates against a base with the bias
+    definitions no candidate reaches fired into it; each row's verdict is
+    still that of the whole row over the facts, on both sides of the demand
+    gate."""
+    kb = parse_kb(kb_text)
+    task = kb.task
+    prelude = sum(len(b.sources) for b in task.biases)
+    caps = EnumCaps(max_body=1, max_clauses=prelude + budget, max_vars=2)
+    with mock.patch.object(oracle, "DEMAND_MIN_CONSTANTS", gate):
+        rows = list(enumerate_hypotheses(kb.facts, task, caps, kb.symbols))
+        assert rows
+        for clauses, verdict in rows:
+            assert verdict == verify(kb.facts, clauses, task.positives, task.negatives)
 
 
 def _vars(atom) -> set:
