@@ -14,8 +14,8 @@ Search discipline, per state (one open hypothesis branch):
   * survivors are bias-rewritten, anti-unified, then closed or extended.
 
 A second exhaustive pass over connected ground witnesses runs only when the
-narrow walk emits nothing; it guarantees that any single connected
-range-restricted clause solution within the body cap is found.
+narrow walk's stream of verified sets ends empty; it guarantees that any
+single connected range-restricted clause solution within the body cap is found.
 """
 
 from __future__ import annotations
@@ -308,8 +308,8 @@ class _Walk:
 
     def learn_positive(self, e_pos: GroundAtom, target: int, negatives: tuple, allow_invention=True):
         """Narrow walk for one positive example of `target` against the
-        negatives; returns ordered verified sets."""
-        results: dict = {}  # set_key -> clause tuple
+        negatives; yields each newly verified set, in discovery order."""
+        seen = set()  # set_key of every set yielded
 
         head, theta, fresh = _head(target, e_pos)
         head_vars = atom_vars(head)
@@ -327,12 +327,13 @@ class _Walk:
         def record(clauses, shown: Clause):
             full = tuple(dict.fromkeys(self.attach_defs(clauses)))
             verdict = self.verdict(full, (e_pos,), negatives)
-            if verdict.ok:
-                results.setdefault(self.set_key(full), full)
-            else:
+            if not verdict.ok:
                 self.stats.dropped += 1
                 self.rejected.append((full, verdict.failed))
             self.emit_trace(None, shown, NOT_APPLIED, "verified" if verdict.ok else "dropped")
+            if verdict.ok and (key := self.set_key(full)) not in seen:
+                seen.add(key)
+                yield full
 
         queue = deque([root])
         while queue:
@@ -374,11 +375,11 @@ class _Walk:
                         emitted_here = True
                         self.emit_trace(hook, cand, verdict, "close")
                         clause = Clause(head, state.body + (gen,))
-                        record((clause,), clause)
+                        yield from record((clause,), clause)
                     if recursion is not None:
                         emitted_here = True
                         self.emit_trace(hook, cand, verdict, "recurse")
-                        record(recursion, recursion[1])
+                        yield from record(recursion, recursion[1])
                     if closes or recursion is not None:
                         continue
 
@@ -404,7 +405,7 @@ class _Walk:
             if not binary and not emitted_here and not extensions and state.body:
                 # frontier exhausted: a monadic chain closes as-is
                 clause = Clause(head, state.body)
-                record((clause,), clause)
+                yield from record((clause,), clause)
                 emitted_here = True
 
             if (
@@ -415,28 +416,29 @@ class _Walk:
                 and state.frontier
                 and head.args[1].code not in body_vars
             ):
-                self._invent(state, head, e_pos, record)
+                yield from self._invent(state, head, e_pos, record)
 
             queue.extend(extensions)
-
-        return results
 
     def _invent(self, state: Hypothesis, head, e_pos, record):
         closing = invent_auto(state, self.fresh_pred)
         inv_pred = closing.pred
         self.emit_trace(state.frontier[0], self.sym.render_sig(inv_pred), NOT_APPLIED, "invent")
         bridge = GroundAtom(inv_pred, (state.frontier[0], e_pos.args[1]))
-        sub_sets = self.learn_positive(bridge, inv_pred, (), allow_invention=False)
+        # read to the end first: a lazy read interleaves the sub-walk's trace
+        # records with this walk's (tests/golden/corpus424.trace.jsonl)
+        sub_sets = list(self.learn_positive(bridge, inv_pred, (), allow_invention=False))
         main = Clause(head, state.body + (closing,))
-        for sub_clauses in sub_sets.values():
-            record((main,) + tuple(sub_clauses), main)
+        for sub_clauses in sub_sets:
+            yield from record((main,) + sub_clauses, main)
 
     # -- phase 2: exhaustive connected-witness fallback --
 
     def witness_walk(self, e_pos: GroundAtom):
         """Grow connected ground witnesses and anti-unify them; complete for
-        single-clause solutions within max_body.  Stops at the first verified
-        set.  No momentum, no bias, no invention here."""
+        single-clause solutions within max_body.  Yields at most one set: it
+        stops at the first verified one.  No momentum, no bias, no invention
+        here."""
         facts = self.nemus.bk.facts
         head_consts = set(e_pos.args)
         head, theta0, fresh0 = _head(self.task.target, e_pos)
@@ -461,7 +463,8 @@ class _Walk:
                 verdict = self.verdict((clause,), (e_pos,), self.task.negatives)
                 self.emit_trace(None, clause, NOT_APPLIED, "verified" if verdict.ok else "dropped", phase=2)
                 if verdict.ok:
-                    return {self.set_key((clause,)): (clause,)}
+                    yield (clause,)
+                    return
                 self.stats.dropped += 1
                 self.rejected.append(((clause,), verdict.failed))
 
@@ -478,7 +481,6 @@ class _Walk:
                     continue
                 seen.add(fs)
                 queue.append(nxt)
-        return {}
 
 
 def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bool = False) -> LearnResult:
@@ -491,12 +493,10 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
     walk = _Walk(nemus, task, trace, include_pruned)
     per_example = []
     for e_pos in dict.fromkeys(task.positives):  # a repeated positive is walked once
-        sets = walk.learn_positive(e_pos, task.target, task.negatives)
-        if not sets:
-            sets = walk.witness_walk(e_pos)
-        per_example.append(sets)
+        per_example.append(list(walk.learn_positive(e_pos, task.target, task.negatives))
+                           or list(walk.witness_walk(e_pos)))
 
-    nonempty = [list(r.values()) for r in per_example if r]
+    nonempty = [sets for sets in per_example if sets]
     uncovered = len(nonempty) < len(per_example)
     hypotheses: dict = {}
     if nonempty:

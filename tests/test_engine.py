@@ -3,7 +3,7 @@
 import json
 import math
 from dataclasses import replace
-from itertools import chain, product
+from itertools import chain, islice, product
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_defines_what_it_reads, render_set
-from corpus import multi_positive_kb, random_kb
+from corpus import CORPUS_SIZE, multi_positive_kb, random_kb
 from nemus_icl import engine, oracle
 from nemus_icl import (
     AntiSubstitution,
@@ -364,9 +364,9 @@ def reference_learn(nemus, task, include_pruned):
     walk = engine._Walk(nemus, task, None, include_pruned)
     per_example = []
     for e_pos in task.positives:
-        sets = walk.learn_positive(e_pos, task.target, task.negatives)
-        per_example.append(sets or walk.witness_walk(e_pos))
-    nonempty = [list(r.values()) for r in per_example if r]
+        per_example.append(list(walk.learn_positive(e_pos, task.target, task.negatives))
+                           or list(walk.witness_walk(e_pos)))
+    nonempty = [sets for sets in per_example if sets]
     assume(math.prod(map(len, nonempty)) <= REFERENCE_MERGE_CAP)
     hypotheses = {}
     for combo in product(*nonempty) if nonempty else ():
@@ -396,6 +396,35 @@ def test_merge_verifies_only_unions_that_can_fail(seed, n_positives, unsupported
     kb = parse_kb(multi_positive_kb(seed, n_positives, unsupported))
     result = learn(compile_kb(kb), kb.task, include_pruned=include_pruned)
     assert (result.hypotheses, result.invented, result.stats, result.rejected) == expected
+
+
+def test_a_prefix_of_the_walk_stream_makes_only_the_verify_calls_it_needed(monkeypatch):
+    """Reading the first k sets of a positive's stream makes exactly the verify
+    calls the full read had made when it yielded its k-th set, on every corpus
+    KB's first positive and for every k; each set is yielded right after the
+    verify call that accepted it."""
+    calls = []
+    real = engine.verify
+    monkeypatch.setattr(engine, "verify",
+                        lambda bk, clauses, *examples: calls.append(clauses) or real(bk, clauses, *examples))
+    for seed in range(CORPUS_SIZE):
+        kb = parse_kb(random_kb(seed))
+        nemus = compile_kb(kb)
+
+        def stream():
+            calls.clear()
+            walk = engine._Walk(nemus, kb.task, None, False)
+            return walk.learn_positive(kb.task.positives[0], kb.task.target, kb.task.negatives)
+
+        at_set = []
+        for clauses in stream():
+            assert calls[-1] == clauses, seed
+            at_set.append(len(calls))
+        if seed == 347:
+            assert (at_set[0], len(calls)) == (1, 320)
+        for k, needed in enumerate(at_set, 1):
+            assert sum(1 for _ in islice(stream(), k)) == k
+            assert len(calls) == needed, (seed, k)
 
 
 def test_merge_without_negatives_calls_the_oracle_only_per_positive(monkeypatch):
