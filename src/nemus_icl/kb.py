@@ -9,9 +9,12 @@ A KB file holds ground facts plus ``#`` directives describing a learning task:
 
 Identifiers starting lowercase are constants/predicates, uppercase are
 variables (legal only in hypothesis files).  ``%`` comments to end of line.
-Only arities 1 and 2 are accepted.  The long English form
-``consider induction on T knowing E assuming P1 or P2 defines NewP.`` is
-parsed as the equivalent of the ``#`` directives.
+Only arities 1 and 2 are accepted.  A signature is ``name/arity`` or a shaped
+atom such as ``ancestor(X, Y)``; ``#invent`` sources are separated by ``,`` or
+``or``.  The long English form ``consider induction on T knowing E assuming P1
+or P2 defines NewP.`` is parsed as the equivalent of the ``#`` directives; its
+keywords are case-insensitive, and it separates sources with ``or`` only.
+``LearnTask`` raises ``ValueError`` on a ``max_body`` or ``tau`` out of range.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 
 class KbError(Exception):
@@ -122,9 +125,6 @@ class Var(NamedTuple):
     code: int
 
 
-Term = Union[int, Var]  # int = constant code
-
-
 class GroundAtom(NamedTuple):
     pred: int
     args: tuple  # constant codes
@@ -197,6 +197,11 @@ class LearnTask:
     max_body: int = 3
     tau: float = 0.2
 
+    def __post_init__(self):
+        problem = setting_error("max_body", self.max_body) or setting_error("tau", self.tau)
+        if problem:
+            raise ValueError(problem)
+
 
 @dataclass
 class Directive:
@@ -216,10 +221,11 @@ class KnowledgeBase:
 # --- tokenizer -------------------------------------------------------------
 
 _PUNCT = {"(", ")", ",", ".", "/", "#"}
-_DIGITS = "0123456789"
 # ASCII digits only (int() takes e.g. Arabic-Indic ones); a real only when
 # digits follow the dot, since a bare dot ends the statement
 _NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
+# matches exactly the characters where ch.isalnum() or ch == "_"
+_WORD = re.compile(r"\w+")
 
 
 class _Tok(NamedTuple):
@@ -235,59 +241,46 @@ def _tokenize(text: str) -> list:
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch in _PUNCT:  # the commonest first: the branches exclude each other
+            toks.append(_Tok("punct", ch, line, col))
             i += 1
+            col += 1
             continue
         if ch in " \t\r":
             i += 1
             col += 1
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == ":":
-            if text[i : i + 2] == ":-":
-                toks.append(_Tok("punct", ":-", line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("expected ':-'", line, start_col)
-        if ch in _PUNCT:
-            toks.append(_Tok("punct", ch, line, start_col))
+        if ch == "\n":
+            line += 1
+            col = 1
             i += 1
-            col += 1
             continue
-        if ch in _DIGITS:
-            number = _NUMBER.match(text, i)
-            j = number.end()
-            kind, read = ("real", float) if number[1] else ("int", int)
-            toks.append(_Tok(kind, read(number[0]), line, start_col))
-            col += j - i
-            i = j
+        if ch == "%":  # takes no column: end of input right after it reports at the '%'
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "name" if ch.islower() else "var"
-            toks.append(_Tok(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+        if ch == ":":
+            if not text.startswith(":-", i):
+                raise ParseError("expected ':-'", line, col)
+            word = ":-"
+            toks.append(_Tok("punct", word, line, col))
+        elif "0" <= ch <= "9":
+            word = _NUMBER.match(text, i)[0]
+            kind, read = ("real", float) if "." in word else ("int", int)
+            toks.append(_Tok(kind, read(word), line, col))
+        elif ch.isalpha() or ch == "_":
+            word = _WORD.match(text, i)[0]
+            toks.append(_Tok("name" if ch.islower() else "var", word, line, col))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i += len(word)
+        col += len(word)
     toks.append(_Tok("eof", None, line, col))
     return toks
 
 
 # --- parser ----------------------------------------------------------------
-
-_ENGLISH_KEYWORDS = {"consider", "induction", "on", "knowing", "assuming", "or", "defines", "and", "not", "from"}
-
 
 class _Parser:
     def __init__(self, text: str, symbols: Optional[SymbolTable] = None):
@@ -327,64 +320,69 @@ class _Parser:
         if not self.keyword(word):
             raise ParseError(f"expected {word!r}, found {self._show(t)}", t.line, t.col)
 
-    # -- atoms and signatures --
+    # -- lists, terms, atoms and signatures --
+
+    def parse_list(self, item, separators) -> list:
+        """item(), then item() again after each token whose value is in separators."""
+        items = [item()]
+        while self.peek().value in separators:
+            self.next()
+            items.append(item())
+        return items
+
+    def parse_args(self, name_tok: _Tok, term) -> list:
+        """The parenthesised arguments after a predicate name, each read by term."""
+        self.expect("punct", "(")
+        args = self.parse_list(term, (",",))
+        self.expect("punct", ")")
+        self.arity(name_tok, len(args))
+        return args
+
+    @staticmethod
+    def arity(name_tok: _Tok, n: int) -> int:
+        if n not in (1, 2):
+            raise ParseError(f"arity {n} not supported (only 1 and 2)", name_tok.line, name_tok.col)
+        return n
+
+    def shape(self) -> _Tok:
+        """A term's token, not interned: a signature's shape gives only its arity."""
+        a = self.next()
+        if a.kind not in ("name", "var"):
+            raise ParseError(f"expected a term, found {self._show(a)}", a.line, a.col)
+        return a
+
+    def term(self):
+        a = self.next()  # not through shape(): one more call per term slowed the parser ~10%
+        if a.kind == "name":
+            return self.symbols.intern_constant(a.value)
+        if a.kind == "var":
+            return Var(self.symbols.intern_variable(a.value))
+        raise ParseError(f"expected a term, found {self._show(a)}", a.line, a.col)
+
+    def ground_term(self) -> int:
+        a = self.peek()
+        if a.kind == "var":
+            raise ValidationError(f"variable {a.value!r} in a ground context", a.line, a.col)
+        return self.term()
 
     def parse_signature(self) -> tuple:
         """name/arity, or a shaped atom like ancestor(X,Y) (arity from arg count)."""
         t = self.expect("name")
-        name = t.value
-        if self.peek().kind == "punct" and self.peek().value == "/":
+        if self.peek().value == "/":
             self.next()
-            a = self.expect("int")
-            arity = a.value
+            arity = self.arity(t, self.expect("int").value)
         else:
-            self.expect("punct", "(")
-            arity = 0
-            while True:
-                a = self.peek()
-                if a.kind not in ("name", "var"):
-                    raise ParseError(f"expected a term, found {self._show(a)}", a.line, a.col)
-                self.next()  # shape only; arity is all that matters here
-                arity += 1
-                if self.peek().value == ",":
-                    self.next()
-                    continue
-                break
-            self.expect("punct", ")")
-        if arity not in (1, 2):
-            raise ParseError(f"arity {arity} not supported (only 1 and 2)", t.line, t.col)
-        return name, arity, t.line, t.col
+            arity = len(self.parse_args(t, self.shape))
+        return t.value, arity, t.line, t.col
 
-    def parse_atom(self, allow_vars: bool):
-        """Parse name(term, ...) and intern it; returns (Atom, line, col)."""
+    def parse_atom(self, ground: bool = False) -> Atom:
+        """Parse name(term, ...) and intern it."""
         t = self.expect("name")
-        self.expect("punct", "(")
-        args = []
-        while True:
-            a = self.peek()
-            if a.kind == "name":
-                self.next()
-                args.append(self.symbols.intern_constant(a.value))
-            elif a.kind == "var":
-                if not allow_vars:
-                    raise ValidationError(f"variable {a.value!r} in a ground context", a.line, a.col)
-                self.next()
-                args.append(Var(self.symbols.intern_variable(a.value)))
-            else:
-                raise ParseError(f"expected a term, found {self._show(a)}", a.line, a.col)
-            if self.peek().value == ",":
-                self.next()
-                continue
-            break
-        self.expect("punct", ")")
-        if len(args) not in (1, 2):
-            raise ParseError(f"arity {len(args)} not supported (only 1 and 2)", t.line, t.col)
-        pred = self.symbols.intern_predicate(t.value, len(args))
-        return Atom(pred, tuple(args)), t.line, t.col
+        args = self.parse_args(t, self.ground_term if ground else self.term)
+        return Atom(self.symbols.intern_predicate(t.value, len(args)), tuple(args))
 
-    def parse_ground_atom(self):
-        atom, line, col = self.parse_atom(allow_vars=False)
-        return GroundAtom(atom.pred, atom.args), line, col
+    def parse_ground_atom(self) -> GroundAtom:
+        return GroundAtom(*self.parse_atom(ground=True))
 
     # -- statements --
 
@@ -399,11 +397,11 @@ class _Parser:
                   and self.toks[self.pos + 1].value != "("):  # consider(a). is a fact
                 directives.extend(self.parse_english_directive())
             elif t.kind == "name":
-                atom, line, col = self.parse_atom(allow_vars=True)
+                atom = self.parse_atom()
                 if not is_ground(atom):
-                    raise ValidationError("facts must be ground", line, col)
+                    raise ValidationError("facts must be ground", t.line, t.col)
                 self.expect("punct", ".")
-                facts.append(GroundAtom(atom.pred, atom.args))
+                facts.append(GroundAtom(*atom))
             else:
                 raise ParseError(f"expected a fact or directive, found {self._show(t)}", t.line, t.col)
         return facts, directives
@@ -415,18 +413,12 @@ class _Parser:
             name, arity, _, _ = self.parse_signature()
             payload = self.symbols.intern_predicate(name, arity)
         elif kind in ("positive", "negative"):
-            payload, _, _ = self.parse_ground_atom()
+            payload = self.parse_ground_atom()
         elif kind == "invent":
             name, arity, _, _ = self.parse_signature()
             invented = self.symbols.intern_predicate(name, arity)
             self.expect_keyword("from")
-            sources = [self.parse_signature()]
-            while self.peek().value == "," or (
-                self.peek().kind == "name" and self.peek().value == "or"
-            ):
-                self.next()
-                sources.append(self.parse_signature())
-            payload = (invented, tuple(sources))
+            payload = (invented, tuple(self.parse_list(self.parse_signature, (",", "or"))))
         elif kind == "max_body":
             v = self.expect("int")
             payload = v.value
@@ -457,11 +449,11 @@ class _Parser:
         self.expect_keyword("knowing")
         while True:
             neg = self.keyword("not")
-            atom, _, _ = self.parse_ground_atom()
-            out.append(Directive("negative" if neg else "positive", atom, t.line))
+            out.append(Directive("negative" if neg else "positive", self.parse_ground_atom(), t.line))
             if not self.keyword("and"):
                 break
         if self.keyword("assuming"):
+            # not parse_list: this "or" is a keyword, so any case, and "," is no separator
             sources = [self.parse_signature()]
             while self.keyword("or"):
                 sources.append(self.parse_signature())
@@ -476,17 +468,11 @@ class _Parser:
         """Hypothesis-file syntax: `h(X,Y) :- b1(...), b2(...).` or bare facts."""
         clauses = []
         while self.peek().kind != "eof":
-            head, _, _ = self.parse_atom(allow_vars=True)
-            body = []
+            head = self.parse_atom()
+            body = ()
             if self.peek().value == ":-":
                 self.next()
-                while True:
-                    atom, _, _ = self.parse_atom(allow_vars=True)
-                    body.append(atom)
-                    if self.peek().value == ",":
-                        self.next()
-                        continue
-                    break
+                body = self.parse_list(self.parse_atom, (",",))
             self.expect("punct", ".")
             clauses.append(Clause(head, tuple(body)))
         return tuple(clauses)
@@ -511,7 +497,7 @@ def _validate(facts, directives, symbols: SymbolTable):
     fact_preds = {f.pred for f in facts}
     fact_set = set(facts)
     positives, negatives, biases = [], [], []
-    max_body, tau = 3, 0.2
+    settings = {}  # the last #max_body/#tau each; LearnTask holds the defaults
     invented_codes = set()
     for d in directives:
         if d.kind in ("positive", "negative"):
@@ -551,10 +537,8 @@ def _validate(facts, directives, symbols: SymbolTable):
                 sources.append(code)
             invented_codes.add(invented)
             biases.append(InventionBias(invented, tuple(sources)))
-        elif d.kind == "max_body":
-            max_body = d.payload
-        elif d.kind == "tau":
-            tau = d.payload
+        elif d.kind in ("max_body", "tau"):
+            settings[d.kind] = d.payload
 
     if not positives:
         raise ValidationError("no #positive example for the target", targets[0].line)
@@ -563,8 +547,7 @@ def _validate(facts, directives, symbols: SymbolTable):
         positives=tuple(positives),
         negatives=tuple(negatives),
         biases=tuple(biases),
-        max_body=max_body,
-        tau=tau,
+        **settings,
     )
 
 

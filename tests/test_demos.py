@@ -1,4 +1,5 @@
-"""Each demo prints the bytes recorded in tests/golden/demos/<name>.out.
+"""Each demo exits 0, prints the bytes recorded in tests/golden/demos/<name>.out
+and nothing on stderr.
 
 Regenerate one with `PYTHONPATH=src python demos/<name>.py > tests/golden/demos/<name>.out`
 only when its output changes on purpose.
@@ -21,3 +22,4 @@ def test_demo_stdout_matches_golden(demo):
     run = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT)
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.out").read_bytes()
+    assert run.stderr == b""

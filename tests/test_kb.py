@@ -1,5 +1,7 @@
 """Parser, validation, and rendering for the KB file language."""
 
+import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -22,6 +24,7 @@ from nemus_icl import (
     render_clause,
     render_kb,
 )
+from nemus_icl.kb import _WORD
 
 
 def test_family_interning_order():
@@ -158,6 +161,27 @@ def test_parse_error_is_located():
         parse_kb("father(jake alice).\n")
     assert exc.value.line == 1
     assert exc.value.col is not None
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"max_body": 0}, "max_body must be >= 1"),
+    ({"max_body": -1}, "max_body must be >= 1"),
+    ({"tau": 5.0}, "tau must be in [0, 1]"),
+    ({"tau": float("nan")}, "tau must be in [0, 1]"),
+])
+def test_learn_task_rejects_what_the_directives_reject(setting, message):
+    """A LearnTask built in the library is range-checked as #max_body/#tau are:
+    at max_body 0 the collision KB's walk would emit a body over the cap."""
+    task = parse_kb(COLLISION).task
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(task, **setting)
+
+
+def test_identifier_pattern_is_isalnum_or_underscore():
+    """The tokenizer scans an identifier's tail with \\w; every code point is
+    checked, since each Python version ships its own Unicode database."""
+    assert [cp for cp in range(sys.maxunicode + 1)
+            if bool(_WORD.fullmatch(chr(cp))) != (chr(cp).isalnum() or chr(cp) == "_")] == []
 
 
 def test_unknown_code():
