@@ -12,8 +12,9 @@ variables (legal only in hypothesis files).  ``%`` comments to end of line.
 Only arities 1 and 2 are accepted.  A signature is ``name/arity`` or a shaped
 atom such as ``ancestor(X, Y)``; ``#invent`` sources are separated by ``,`` or
 ``or``.  The long English form ``consider induction on T knowing E assuming P1
-or P2 defines NewP.`` is parsed as the equivalent of the ``#`` directives; its
-keywords are case-insensitive, and it separates sources with ``or`` only.
+or P2 defines NewP.`` is parsed as the equivalent of the ``#`` directives, and
+separates sources with ``or`` only.  Keywords (``from``, ``or`` and the English
+form's words) are case-insensitive.
 ``LearnTask`` raises ``ValueError`` on a ``max_body`` or ``tau`` out of range.
 """
 
@@ -322,18 +323,25 @@ class _Parser:
 
     # -- lists, terms, atoms and signatures --
 
-    def parse_list(self, item, separators) -> list:
-        """item(), then item() again after each token whose value is in separators."""
+    def parse_list(self, item) -> list:
+        """item(), then item() again after each ','."""
         items = [item()]
-        while self.peek().value in separators:
+        while self.peek().value == ",":
             self.next()
             items.append(item())
         return items
 
+    def parse_sources(self, comma: bool) -> list:
+        """Signatures separated by the keyword 'or', in any case, and by ',' when comma."""
+        sources = [self.parse_signature()]
+        while (comma and self.peek().value == "," and self.next()) or self.keyword("or"):  # a _Tok is truthy
+            sources.append(self.parse_signature())
+        return sources
+
     def parse_args(self, name_tok: _Tok, term) -> list:
         """The parenthesised arguments after a predicate name, each read by term."""
         self.expect("punct", "(")
-        args = self.parse_list(term, (",",))
+        args = self.parse_list(term)
         self.expect("punct", ")")
         self.arity(name_tok, len(args))
         return args
@@ -418,7 +426,7 @@ class _Parser:
             name, arity, _, _ = self.parse_signature()
             invented = self.symbols.intern_predicate(name, arity)
             self.expect_keyword("from")
-            payload = (invented, tuple(self.parse_list(self.parse_signature, (",", "or"))))
+            payload = (invented, tuple(self.parse_sources(comma=True)))
         elif kind == "max_body":
             v = self.expect("int")
             payload = v.value
@@ -453,10 +461,7 @@ class _Parser:
             if not self.keyword("and"):
                 break
         if self.keyword("assuming"):
-            # not parse_list: this "or" is a keyword, so any case, and "," is no separator
-            sources = [self.parse_signature()]
-            while self.keyword("or"):
-                sources.append(self.parse_signature())
+            sources = self.parse_sources(comma=False)
             self.expect_keyword("defines")
             iname, iarity, _, _ = self.parse_signature()
             invented = self.symbols.intern_predicate(iname, iarity)
@@ -472,7 +477,7 @@ class _Parser:
             body = ()
             if self.peek().value == ":-":
                 self.next()
-                body = self.parse_list(self.parse_atom, (",",))
+                body = self.parse_list(self.parse_atom)
             self.expect("punct", ".")
             clauses.append(Clause(head, tuple(body)))
         return tuple(clauses)

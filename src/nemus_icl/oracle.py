@@ -30,12 +30,11 @@ like any other.  On smaller BKs the rewrite costs more than the whole model
 saves, and verify evaluates the program as given.  Either way, verify calls
 least_model once.
 
-The enumerator verifies many candidate sets after one prelude of bias
-definitions.  The definitions whose sources no candidate can extend are the
-lower part of every candidate's program, so they are fired into one base Bk
-per stream; a definition that reads the target, directly or through another
-bias, stays in each verified program, since what it derives depends on the
-candidate.
+The enumerator judges many candidate sets after one prelude of bias
+definitions (see enumerate_hypotheses): the definitions no candidate can
+extend are fired into one base Bk per stream, the examples each flat pool
+clause covers are found once per stream, and only a candidate whose looped
+clauses have a derived atom to read needs a fixpoint and calls verify.
 """
 
 from __future__ import annotations
@@ -532,10 +531,16 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
     source reads neither the target nor, through other biases, an invented
     predicate that does, has the same consequences in every candidate's
     program (the splitting-set theorem, Lifschitz & Turner, ICLP 1994).
-    Those definitions are fired into one base Bk for the stream, and each
-    candidate is verified as the remaining definitions plus its own clauses
-    against that base.  A definition that reads the target stays in the
-    verified program: its consequences depend on what the candidate derives.
+    Those definitions are fired into one base Bk for the stream; the rest,
+    reached, stay in each candidate's program.  By the same theorem a pool
+    clause reading neither the target nor a reached head adds the same atoms
+    to every program; its coverage, the examples among them, is found on
+    first need, once per stream (Progol's cover sets, Muggleton 1995).  Every
+    other clause, and every reached definition, reads a predicate the
+    candidate derives, so none fires unless the base or a flat clause holds
+    an atom of one; a reached definition derives no example.  A candidate is
+    verified only when it holds such a clause and there is such an atom; any
+    other is judged by the union of its clauses' coverage and the base's.
     Each row still lists the whole prelude.
     """
     _, target_arity = symbols.predicate_sig(task.target)
@@ -549,8 +554,7 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
         return
 
     bk = _compiled(bk)
-    fact_preds = sorted(bk.relations)
-    body_preds = list(fact_preds)
+    body_preds = sorted(bk.relations)
     for bias in task.biases:
         if bias.invented not in body_preds:
             body_preds.append(bias.invented)
@@ -561,10 +565,8 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
     preds_with_arity = [(p, symbols.predicate_sig(p)[1]) for p in body_preds]
 
     pool = []
-    positives = set(task.positives)
     for args in itertools.product(range(symbols.n_constants), repeat=target_arity):
-        unit = GroundAtom(task.target, args)
-        if unit not in positives:
+        if GroundAtom(task.target, args) not in task.positives:
             pool.append(Clause(Atom(task.target, args), ()))
 
     atoms = list(_body_pool(preds_with_arity, variables))
@@ -584,6 +586,31 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
             pool.append(Clause(head, tuple(body)))
 
     base, reached = _base(bk, task.target, definitions)
+    derived = {task.target, *(d.head.pred for d in reached)}
+    bits = {e: 1 << i for i, e in enumerate((*task.positives, *task.negatives))}
+    # two bits past the examples: an atom of a derived predicate, and a looped
+    # clause.  A flat clause's mask is -1 until a row needs it, so a --limit
+    # stream joins no more clauses than verify would
+    feeds = 1 << len(task.positives) + len(task.negatives)
+    fixpoint = feeds | feeds << 1
+
+    def covered(atoms, derives: bool) -> int:
+        return sum(bit for e, bit in bits.items() if e in atoms) | (feeds if derives else 0)
+
+    masks = [-1 if derived.isdisjoint([a.pred for a in c.body]) else feeds << 1 for c in pool]
+    base_mask = covered(base.atoms, not derived.isdisjoint(base.relations))
+    by_coverage = functools.cache(lambda mask: _verdict(lambda e: mask & bits[e], task.positives, task.negatives))
     for size in range(1, budget + 1):
-        for combo in itertools.combinations(pool, size):
-            yield prelude + combo, verify(base, reached + combo, task.positives, task.negatives)
+        for picked in itertools.combinations(range(len(pool)), size):
+            combo = tuple([pool[i] for i in picked])
+            mask = base_mask
+            for i in picked:
+                if masks[i] < 0:
+                    c = pool[i]
+                    atoms = base.compiled(c).bk_consequences(base) if c.body else {GroundAtom(*c.head)}
+                    masks[i] = covered(atoms, bool(atoms))
+                mask |= masks[i]
+            if mask & fixpoint == fixpoint:
+                yield prelude + combo, verify(base, reached + combo, task.positives, task.negatives)
+            else:
+                yield prelude + combo, by_coverage(mask)

@@ -3,16 +3,17 @@
 `tests/golden/corpus.learn.sha256` holds one line per corpus seed
 (`<seed> <number of sets> <digest>`, the digest covering the rendered sets,
 the invented predicates and the stats) and one per enumerated KB, the README
-KBs and two bias KBs under `tests/golden/` (`enumerate-<name> <number of
-sets> <digest>`, covering each enumerated set with its verdict and failed
-example).  Regenerate it, after a change that is meant to move an output,
-with
+KBs and two bias KBs under `tests/golden/`, and the perfbench enumerate
+workload's streams (`enumerate-<name> <number of sets> <digest>`, covering
+each enumerated set with its verdict and failed example).  Regenerate it,
+after a change that is meant to move an output, with
 
     PYTHONPATH=src python tests/capture.py > tests/golden/corpus.learn.sha256
 """
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -23,17 +24,23 @@ from nemus_icl import EnumCaps, compile_kb, enumerate_hypotheses, learn, parse_k
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# small enough that the streams run in well under a second.  In
-# invent_target_source the target is an invention source, and in invent_chain
-# one bias reads another that reads the target: a bias definition the
-# candidates reach must be verified with each candidate, not fired once
+# (name, KB text, caps, row limit or None).  The first five are small enough
+# that the streams run in well under a second.  In invent_target_source the
+# target is an invention source, and in invent_chain one bias reads another
+# that reads the target: a bias definition the candidates reach must be
+# verified with each candidate, not fired once.  The last three are the
+# perfbench enumerate workload's streams at its caps and row limits, every
+# failed example digested, where the benchmark checks only a sample
 ENUM_CASES = (
-    ("family", FAMILY, EnumCaps(max_body=2, max_clauses=3, max_vars=3)),
-    ("collision", COLLISION, EnumCaps(max_body=2, max_clauses=2, max_vars=2)),
-    ("bridge", BRIDGE, EnumCaps(max_body=2, max_clauses=2, max_vars=2)),
+    ("family", FAMILY, EnumCaps(max_body=2, max_clauses=3, max_vars=3), None),
+    ("collision", COLLISION, EnumCaps(max_body=2, max_clauses=2, max_vars=2), None),
+    ("bridge", BRIDGE, EnumCaps(max_body=2, max_clauses=2, max_vars=2), None),
     ("invent_target_source", (GOLDEN / "invent_target_source.kb").read_text(),
-     EnumCaps(max_body=2, max_clauses=3, max_vars=3)),
-    ("invent_chain", (GOLDEN / "invent_chain.kb").read_text(), EnumCaps(max_body=2, max_clauses=4, max_vars=3)),
+     EnumCaps(max_body=2, max_clauses=3, max_vars=3), None),
+    ("invent_chain", (GOLDEN / "invent_chain.kb").read_text(), EnumCaps(max_body=2, max_clauses=4, max_vars=3), None),
+    ("family-4-3-2", FAMILY, EnumCaps(max_body=2, max_clauses=4, max_vars=3), 6000),
+    ("collision-2-3-2", COLLISION, EnumCaps(max_body=2, max_clauses=2, max_vars=3), 16000),
+    ("bridge-2-4-2", BRIDGE, EnumCaps(max_body=2, max_clauses=2, max_vars=4), 16000),
 )
 
 
@@ -61,11 +68,12 @@ def capture_lines() -> list:
         doc = (list(map(_renderer(kb.symbols), result.hypotheses)),
                [kb.symbols.render_sig(p) for p in result.invented], asdict(result.stats))
         lines.append(f"{seed} {len(result.hypotheses)} {_digest(doc)}")
-    for name, text, caps in ENUM_CASES:
+    for name, text, caps, limit in ENUM_CASES:
         kb = parse_kb(text)
         rendered = _renderer(kb.symbols)
         stream = [(rendered(clauses), verdict.ok, verdict.failed and render_ground_atom(verdict.failed, kb.symbols))
-                  for clauses, verdict in enumerate_hypotheses(kb.facts, kb.task, caps, kb.symbols)]
+                  for clauses, verdict in itertools.islice(
+                      enumerate_hypotheses(kb.facts, kb.task, caps, kb.symbols), limit)]
         lines.append(f"enumerate-{name} {len(stream)} {_digest(stream)}")
     return lines
 

@@ -73,6 +73,13 @@ def test_english_long_form_equivalent():
     assert a.facts == b.facts
 
 
+@pytest.mark.parametrize("separator", ["or", "OR", "Or", ","])
+def test_invent_sources_separated_by_or_in_any_case(separator):
+    """'or' is a keyword of #invent, like 'from': any case reads the same."""
+    kb = parse_kb(FAMILY.replace("from father/2, mother/2.", f"From father/2 {separator} mother/2."))
+    assert kb.task == parse_kb(FAMILY).task
+
+
 def test_english_negative_examples():
     kb = parse_kb("p1(a, a1).\nconsider induction on p/1 knowing p(a) and not p(b).\n")
     assert kb.task.positives == (GroundAtom(1, (0,)),)

@@ -1,7 +1,9 @@
 """Least-model evaluation, verification, and the brute-force enumerator."""
 
 import contextlib
+import dataclasses
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -619,11 +621,12 @@ def test_repeated_invent_source_leaves_the_enumerate_stream_as_it_is(kb_text):
 
 @st.composite
 def _invent_kb(draw) -> str:
-    """A KB over e/2, f/2 and the target t/2, each with facts, and one or two
-    biases.  A source may be the target, and the second bias may read the
-    first, so an invented predicate may read the target through another."""
+    """A KB over e/2 and f/2, each with facts, the target t/2, with or without
+    facts, and zero, one or two biases.  A source may be the target when it
+    has facts, and the second bias may read the first, so an invented
+    predicate may read the target through another."""
     pairs = [(x, y) for x in "abc" for y in "abc"]
-    rows = {p: draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True)) for p in "eft"}
+    rows = {p: draw(st.lists(st.sampled_from(pairs), min_size=p != "t", max_size=3, unique=True)) for p in "eft"}
     examples = draw(st.lists(st.sampled_from([xy for xy in pairs if xy not in rows["t"]]),
                              min_size=1, max_size=3, unique=True))
     n_pos = draw(st.integers(1, len(examples)))
@@ -632,9 +635,12 @@ def _invent_kb(draw) -> str:
     lines = [f"{p}({x},{y})." for p, xys in rows.items() for x, y in xys]
     lines += ["#target t/2."] + [f"#positive t({x},{y})." for x, y in examples[:n_pos]]
     lines += [f"#negative t({x},{y})." for x, y in examples[n_pos:]]
-    lines.append(f"#invent p/2 from {sources('eft')}.")
-    if draw(st.booleans()):
-        lines.append(f"#invent q/2 from {sources('eftp')}.")
+    known = "eft" if rows["t"] else "ef"  # a source must have facts or be invented
+    n_biases = draw(st.integers(0, 2))
+    if n_biases:
+        lines.append(f"#invent p/2 from {sources(known)}.")
+    if n_biases == 2:
+        lines.append(f"#invent q/2 from {sources(known + 'p')}.")
     return "\n".join(lines) + "\n"
 
 
@@ -655,6 +661,72 @@ def test_enumerate_verdicts_match_verify_over_the_plain_facts(gate, kb_text, bud
         assert rows
         for clauses, verdict in rows:
             assert verdict == verify(kb.facts, clauses, task.positives, task.negatives)
+
+
+def _rows_and_verify_calls(kb, caps, limit=None) -> list:
+    """(clauses, verdict, verify calls the enumerator made for the row) for
+    each row of the stream."""
+    calls, out = [], []
+    with mock.patch.object(oracle, "verify", lambda *args: calls.append(args) or verify(*args)):
+        for clauses, verdict in itertools.islice(enumerate_hypotheses(kb.facts, kb.task, caps, kb.symbols), limit):
+            out.append((clauses, verdict, len(calls)))
+            calls.clear()
+    return out
+
+
+@pytest.mark.parametrize("kb_text, caps, limit, n_calls", [
+    (FAMILY, EnumCaps(max_body=2, max_clauses=4, max_vars=3), 6000, 2303),
+    (COLLISION, EnumCaps(max_body=2, max_clauses=2, max_vars=3), 16000, 522),
+    (BRIDGE, EnumCaps(max_body=2, max_clauses=2, max_vars=4), 16000, 4176),
+], ids=["family", "collision", "bridge"])
+def test_enumerate_verifies_only_the_rows_that_need_a_fixpoint(kb_text, caps, limit, n_calls):
+    """At the perfbench enumerate workload's caps and row limits, a row gets
+    its verdict from its clauses' coverage when its clauses are all flat,
+    reading neither the target nor a reached invented predicate, or when
+    neither the BK nor its flat clauses hold an atom its looped clauses could
+    read; only the others call verify, once each."""
+    kb = parse_kb(kb_text)
+    rows = _rows_and_verify_calls(kb, caps, limit)
+    assert len(rows) == limit
+    assert sum(n for _, _, n in rows) == n_calls
+    assert {n for _, _, n in rows} == {0, 1}
+
+
+def test_a_row_reading_neither_the_target_nor_a_reached_head_makes_no_verify_call():
+    """In invent_target_source.kb, p/2 reads the target, so its definition
+    from t/2 stays in every verified program.  A row whose candidate clauses
+    read neither t/2 nor p/2 makes no verify call, and its verdict is that of
+    verify over the plain facts; every other row makes one, since the BK
+    holds a t/2 fact for its looped clauses to read."""
+    kb = parse_kb((Path(__file__).parent / "golden" / "invent_target_source.kb").read_text())
+    task = kb.task
+    prelude = sum(len(b.sources) for b in task.biases)
+    read = {task.target, task.biases[0].invented}
+    flat = 0
+    for clauses, verdict, n in _rows_and_verify_calls(kb, EnumCaps(max_body=2, max_clauses=3, max_vars=3)):
+        reads = {a.pred for c in clauses[prelude:] for a in c.body}
+        assert n == (0 if read.isdisjoint(reads) else 1), clauses
+        flat += n == 0
+        assert verdict == verify(kb.facts, clauses, task.positives, task.negatives)
+    assert flat
+
+
+@pytest.mark.parametrize("as_negative", [False, True], ids=["positive", "negative"])
+def test_a_bk_fact_taken_as_an_example_counts_in_every_coverage_verdict(as_negative):
+    """The parser rejects an example that is a fact, but a LearnTask built
+    directly may hold one: the BK's own target facts then decide it in every
+    row, the flat rows' coverage verdicts as well as the verified ones."""
+    kb = parse_kb("e(a, b).\ne(b, c).\nt(c, a).\n#target t/2.\n#positive t(a, b).\n")
+    fact = next(f for f in kb.facts if f.pred == kb.task.target)
+    if as_negative:
+        task = dataclasses.replace(kb.task, negatives=(fact,))
+    else:
+        task = dataclasses.replace(kb.task, positives=(*kb.task.positives, fact))
+    caps = EnumCaps(max_body=2, max_clauses=2, max_vars=2)
+    rows = list(enumerate_hypotheses(kb.facts, task, caps, kb.symbols))
+    for clauses, verdict in rows:
+        assert verdict == verify(kb.facts, clauses, task.positives, task.negatives)
+    assert any(verdict.ok for _, verdict in rows) != as_negative
 
 
 def _vars(atom) -> set:
