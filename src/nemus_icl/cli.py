@@ -2,7 +2,8 @@
 
 Config resolution: file directives < flags; the effective values are echoed
 in every output.  Exit codes: 0 = success with a result, 1 = no hypothesis /
-verification fails, 2 = input errors (located message on stderr).
+verification fails, 2 = input errors (located message on stderr), 141 = the
+reader closed stdout (128 + SIGPIPE, as a shell reports for `yes | head`).
 """
 
 from __future__ import annotations
@@ -319,6 +320,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except KbError as exc:
         return _fail(exc.msg, kb_path, exc.line, exc.col)
+    except BrokenPipeError:
+        # the reader has gone: nothing to report, and stdout now points at
+        # devnull so the flush at shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except FileNotFoundError as exc:
         return _fail(f"cannot read {exc.filename}")
     except OSError as exc:

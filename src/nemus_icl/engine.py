@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from .kb import Atom, Clause, GroundAtom, LearnTask, Var, atom_vars, render_clause, render_ground_atom
 # atom_of is unused here; perfbench/tracer.py wraps it by the name engine.atom_of
 from .nemus import SharedNeMuS, atom_of, beta, region_similarity
-from .oracle import Verdict, clause_key, verify
+from .oracle import Verdict, verify
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -75,7 +75,6 @@ class Hypothesis:
     frontier: tuple = ()  # constants whose bindings extend this branch next
     pairs: dict = field(default_factory=dict)  # positive const -> negative counterparts
     used: frozenset = frozenset()  # ground atoms consumed on this branch
-    fresh: int = 0  # next variable code
 
     def body_vars(self) -> set:
         return set().union(*map(atom_vars, self.body))
@@ -112,10 +111,11 @@ def inductive_momentum(l_plus, l_minus, k: int, m: int) -> str:
     return CONSISTENT
 
 
-def anti_unify(atom, theta_inv: AntiSubstitution, fresh: int):
-    """Replace constants by their mapped variables, minting fresh ones for
-    unseen constants.  Returns (generalized atom, extended theta, next fresh);
-    the input theta is never mutated."""
+def anti_unify(atom, theta_inv: AntiSubstitution):
+    """Replace constants by their mapped variables, minting Var(len(theta))
+    for each unseen constant, so variables are numbered in the order theta
+    binds them.  Returns (generalized atom, extended theta); the input theta
+    is never mutated."""
     out = theta_inv
     terms = []
     for c in atom.args:
@@ -123,11 +123,10 @@ def anti_unify(atom, theta_inv: AntiSubstitution, fresh: int):
         if v is None:
             if out is theta_inv:
                 out = theta_inv.copy()
-            v = Var(fresh)
-            fresh += 1
+            v = Var(len(out))
             out.bind(c, v)
         terms.append(v)
-    return Atom(atom.pred, tuple(terms)), out, fresh
+    return Atom(atom.pred, tuple(terms)), out
 
 
 def apply_bias(atom, biases):
@@ -173,9 +172,11 @@ def try_recursion(open_hyp: Hypothesis, next_atom, nemus: SharedNeMuS, tau: floa
     z_last = open_hyp.theta_inv.get(anchor)
     if z_last is None or z_last in open_hyp.head.args:
         return None  # the walk looped back onto a head constant; no chain tip to close
-    base_body = tuple(
-        Atom(a.pred, tuple(y if t == z_last else t for t in a.args)) for a in open_hyp.body
-    )
+    # Y takes Z's place and the variables after Z move down by one, so the
+    # base clause stays in first-use order
+    rename = {Var(c): Var(c - 1) for c in open_hyp.body_vars() if c > z_last.code}
+    rename[z_last] = y
+    base_body = tuple(Atom(a.pred, tuple(rename.get(t, t) for t in a.args)) for a in open_hyp.body)
     base = Clause(open_hyp.head, base_body)
     recursive = Clause(open_hyp.head, open_hyp.body + (Atom(open_hyp.head.pred, (z_last, y)),))
     return base, recursive
@@ -186,8 +187,8 @@ def try_recursion(open_hyp: Hypothesis, next_atom, nemus: SharedNeMuS, tau: floa
 
 def _head(pred: int, example: GroundAtom):
     """The example anti-unified as a head of `pred`: its constants become X,
-    Y, ... in first-use order.  Returns (head atom, theta inverse, next fresh)."""
-    return anti_unify(GroundAtom(pred, example.args), AntiSubstitution(), 0)
+    Y, ... in first-use order.  Returns (head atom, theta inverse)."""
+    return anti_unify(GroundAtom(pred, example.args), AntiSubstitution())
 
 
 def _lockstep(pairs: dict, pos_atom, neg_atoms, skip=None) -> dict:
@@ -219,8 +220,7 @@ class _Walk:
     def __init__(self, nemus: SharedNeMuS, task: LearnTask, trace, include_pruned: bool):
         self.nemus = nemus
         self.task = task
-        self.verdicts: dict = {}  # (clause set, positives, negatives) -> Verdict
-        self.keys: dict = {}  # Clause -> clause_key
+        self.verdicts: dict = {}  # (set_key, positives, negatives) -> Verdict
         self.sym = nemus.symbols
         self.trace = trace
         self.include_pruned = include_pruned
@@ -266,21 +266,16 @@ class _Walk:
     def verdict(self, clauses, positives, negatives) -> Verdict:
         """The oracle's verdict on the clause set; the walk meets many sets
         more than once, so it is memoised."""
-        key = (frozenset(clauses), positives, negatives)
+        key = (self.set_key(clauses), positives, negatives)
         verdict = self.verdicts.get(key)
         if verdict is None:
             verdict = self.verdicts[key] = verify(self.nemus.bk, clauses, positives, negatives)
         return verdict
 
     def set_key(self, clauses) -> frozenset:
-        """The clause set up to variable renaming of each clause: equal
-        exactly when the rendered clause sets are equal.  Verified sets
-        repeat their clauses, so each clause's key is memoised."""
-        keys = self.keys
-        for c in clauses:
-            if c not in keys:
-                keys[c] = clause_key(c)
-        return frozenset([keys[c] for c in clauses])
+        """The clause set itself: every clause the walk builds is in first-use
+        variable order, so two are alphabetic variants exactly when equal."""
+        return frozenset(clauses)
 
     def attach_defs(self, clauses) -> tuple:
         """The clauses after the definitions of every bias-invented predicate
@@ -311,7 +306,7 @@ class _Walk:
         negatives; yields each newly verified set, in discovery order."""
         seen = set()  # set_key of every set yielded
 
-        head, theta, fresh = _head(target, e_pos)
+        head, theta = _head(target, e_pos)
         head_vars = atom_vars(head)
         head_consts = set(e_pos.args)
         binary = len(e_pos.args) == 2
@@ -321,7 +316,6 @@ class _Walk:
             theta_inv=theta,
             frontier=(e_pos.args[0],),
             pairs=_lockstep({}, e_pos, negatives),
-            fresh=fresh,
         )
 
         def record(clauses, shown: Clause):
@@ -361,7 +355,7 @@ class _Walk:
                     else:
                         verdict = CONSISTENT
                     rewritten = apply_bias(cand, self.task.biases)
-                    gen, theta2, fresh2 = anti_unify(rewritten, state.theta_inv, state.fresh)
+                    gen, theta2 = anti_unify(rewritten, state.theta_inv)
                     mates = tuple(dict.fromkeys(c for c in cand.args if c != hook))
 
                     closes = head_vars <= body_vars | atom_vars(gen) if binary else not mates or at_cap
@@ -395,7 +389,6 @@ class _Walk:
                             state,
                             body=state.body + (gen,),
                             theta_inv=theta2,
-                            fresh=fresh2,
                             frontier=mates,
                             pairs=pairs,
                             used=state.used | {cand},
@@ -406,7 +399,6 @@ class _Walk:
                 # frontier exhausted: a monadic chain closes as-is
                 clause = Clause(head, state.body)
                 yield from record((clause,), clause)
-                emitted_here = True
 
             if (
                 binary
@@ -441,7 +433,7 @@ class _Walk:
         here."""
         facts = self.nemus.bk.facts
         head_consts = set(e_pos.args)
-        head, theta0, fresh0 = _head(self.task.target, e_pos)
+        head, theta0 = _head(self.task.target, e_pos)
 
         seeds = [(idx,) for idx, f in enumerate(facts) if set(f.args) & head_consts]
         queue = deque(seeds)
@@ -455,9 +447,9 @@ class _Walk:
                 consts.update(facts[i].args)
 
             if head_consts <= consts:
-                theta, fresh, body = theta0, fresh0, []
+                theta, body = theta0, []
                 for i in state:
-                    atom, theta, fresh = anti_unify(facts[i], theta, fresh)
+                    atom, theta = anti_unify(facts[i], theta)
                     body.append(atom)
                 clause = Clause(head, tuple(body))
                 verdict = self.verdict((clause,), (e_pos,), self.task.negatives)

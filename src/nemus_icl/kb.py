@@ -533,7 +533,8 @@ def _validate(facts, directives, symbols: SymbolTable):
             sources = []
             for sname, sarity, line, col in source_sigs:
                 code = symbols.predicate_code(sname, sarity)
-                if code is None or (code not in fact_preds and code not in invented_codes):
+                # the target may be a source with or without facts
+                if code is None or (code not in fact_preds and code not in invented_codes and code != target):
                     raise ValidationError(f"unknown predicate {sname}/{sarity} in #invent", line, col)
                 if sarity != iarity:
                     raise ValidationError(

@@ -558,9 +558,10 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
     for bias in task.biases:
         if bias.invented not in body_preds:
             body_preds.append(bias.invented)
-    # a target atom in a body is satisfiable only with target facts around or
-    # a second clause to bottom the recursion out
-    if task.target not in body_preds and (task.target in bk.relations or budget >= 2):
+    # a target atom in a body is satisfiable only with target facts around
+    # (then the target is in body_preds already) or a second clause to bottom
+    # the recursion out
+    if task.target not in body_preds and budget >= 2:
         body_preds.append(task.target)
     preds_with_arity = [(p, symbols.predicate_sig(p)[1]) for p in body_preds]
 

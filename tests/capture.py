@@ -2,10 +2,12 @@
 
 `tests/golden/corpus.learn.sha256` holds one line per corpus seed
 (`<seed> <number of sets> <digest>`, the digest covering the rendered sets,
-the invented predicates and the stats) and one per enumerated KB, the README
-KBs and two bias KBs under `tests/golden/`, and the perfbench enumerate
-workload's streams (`enumerate-<name> <number of sets> <digest>`, covering
-each enumerated set with its verdict and failed example).  Regenerate it,
+the invented predicates and the stats), one per seed of
+`corpus.BASE_RENUMBER_SEEDS` learned at max_body 4 (`learn4-<seed> ...`, the
+same digest), and one per enumerated KB, the README KBs and two bias KBs
+under `tests/golden/`, and the perfbench enumerate workload's streams
+(`enumerate-<name> <number of sets> <digest>`, covering each enumerated set
+with its verdict and failed example).  Regenerate it,
 after a change that is meant to move an output, with
 
     PYTHONPATH=src python tests/capture.py > tests/golden/corpus.learn.sha256
@@ -15,11 +17,11 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from conftest import BRIDGE, COLLISION, FAMILY
-from corpus import CORPUS_SIZE, random_kb
+from corpus import BASE_RENUMBER_SEEDS, CORPUS_SIZE, random_kb
 from nemus_icl import EnumCaps, compile_kb, enumerate_hypotheses, learn, parse_kb, render_clause, render_ground_atom
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,6 +54,14 @@ def learned_corpus() -> tuple:
     return tuple((kb, learn(compile_kb(kb), kb.task)) for kb in kbs)
 
 
+@functools.cache
+def learned_at_cap4() -> tuple:
+    """(seed, kb, learn result at max_body 4) per seed of BASE_RENUMBER_SEEDS,
+    learned once per process."""
+    kbs = [(seed, parse_kb(random_kb(seed))) for seed in BASE_RENUMBER_SEEDS]
+    return tuple((seed, kb, learn(compile_kb(kb), replace(kb.task, max_body=4))) for seed, kb in kbs)
+
+
 def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
 
@@ -62,12 +72,15 @@ def _renderer(symbols):
     return lambda clauses: [text(c) for c in clauses]
 
 
+def _learn_line(name, kb, result) -> str:
+    doc = (list(map(_renderer(kb.symbols), result.hypotheses)),
+           [kb.symbols.render_sig(p) for p in result.invented], asdict(result.stats))
+    return f"{name} {len(result.hypotheses)} {_digest(doc)}"
+
+
 def capture_lines() -> list:
-    lines = []
-    for seed, (kb, result) in enumerate(learned_corpus()):
-        doc = (list(map(_renderer(kb.symbols), result.hypotheses)),
-               [kb.symbols.render_sig(p) for p in result.invented], asdict(result.stats))
-        lines.append(f"{seed} {len(result.hypotheses)} {_digest(doc)}")
+    lines = [_learn_line(seed, kb, result) for seed, (kb, result) in enumerate(learned_corpus())]
+    lines += [_learn_line(f"learn4-{seed}", kb, result) for seed, kb, result in learned_at_cap4()]
     for name, text, caps, limit in ENUM_CASES:
         kb = parse_kb(text)
         rendered = _renderer(kb.symbols)

@@ -282,6 +282,25 @@ def test_enumerate_finds_family_solution(family_path):
     assert any(l.startswith("Verified") for l in proc.stdout.splitlines())
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_closed_stdout_pipe_exits_141_quietly(family_path, json_flag):
+    """A reader that closes stdout after the first row, as `| head -1` does,
+    ends the run with 141 (128 + SIGPIPE) and nothing on stderr.  The stream
+    is far longer than a pipe buffer, so the writer meets the closed pipe."""
+    import os
+
+    with subprocess.Popen(
+        [sys.executable, "-m", "nemus_icl", "enumerate", family_path, "--max-clauses", "4", "--max-vars", "3",
+         *json_flag],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, NEMUS_ICL_COLOR="0"),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert first and err == b""
+
+
 def test_no_ansi_when_color_disabled(family_path):
     proc = run_cli("learn", family_path)
     assert "\x1b[" not in proc.stdout

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 from itertools import chain, product
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from capture import learned_at_cap4, learned_corpus
 from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_defines_what_it_reads, render_set
-from corpus import CORPUS_SIZE, multi_positive_kb, random_kb
+from corpus import BASE_RENUMBER_SEEDS, CORPUS_SIZE, multi_positive_kb, random_kb
 from nemus_icl import engine, oracle
 from nemus_icl import (
     AntiSubstitution,
@@ -36,6 +38,9 @@ from nemus_icl import (
     verify,
 )
 
+sys.path.append(str(Path(__file__).parents[1] / "perfbench"))
+from workloads import CHAIN_SIZES, GRID_SIZES, chain_kb, grid_kb  # noqa: E402  (the graphs benchmark's KBs)
+
 
 def test_inductive_momentum_table():
     l_plus = GroundAtom(1, (4, 1))   # qj(bj, a1)
@@ -58,30 +63,29 @@ def test_inductive_momentum_preconditions():
 
 def test_anti_unify_extends_theta():
     theta = AntiSubstitution()
-    atom, theta2, fresh = anti_unify(GroundAtom(0, (0, 1)), theta, 0)
+    atom, theta2 = anti_unify(GroundAtom(0, (0, 1)), theta)
     assert atom == Atom(0, (Var(0), Var(1)))
-    assert fresh == 2
+    assert len(theta2) == 2
     assert len(theta) == 0  # input untouched
     # second atom through the extended map reuses the binding for constant 1
-    atom2, theta3, fresh2 = anti_unify(GroundAtom(1, (1, 5)), theta2, fresh)
+    atom2, theta3 = anti_unify(GroundAtom(1, (1, 5)), theta2)
     assert atom2 == Atom(1, (Var(1), Var(2)))
-    assert fresh2 == 3
+    assert len(theta3) == 3
     assert theta3.get(5) == Var(2)
 
 
 def test_anti_unify_repeated_constant():
-    atom, theta, fresh = anti_unify(GroundAtom(0, (7, 7)), AntiSubstitution(), 0)
+    atom, theta = anti_unify(GroundAtom(0, (7, 7)), AntiSubstitution())
     assert atom == Atom(0, (Var(0), Var(0)))
-    assert fresh == 1
+    assert len(theta) == 1
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 9)), max_size=8))
 @settings(max_examples=200)
 def test_anti_substitution_stays_injective(chain):
     theta = AntiSubstitution()
-    fresh = 0
     for pred, a, b in chain:
-        _, theta, fresh = anti_unify(GroundAtom(pred, (a, b)), theta, fresh)
+        _, theta = anti_unify(GroundAtom(pred, (a, b)), theta)
     vals = list(theta.mapping.values())
     assert len(vals) == len(set(vals))
 
@@ -595,19 +599,61 @@ def test_learn_walks_the_compiled_kb_in_one_context(monkeypatch, kb_text):
     assert any(rec["action"] == "invent" for rec in records)
 
 
-@pytest.mark.parametrize("kb_text", [
-    pytest.param(BRIDGE, id="bridge"),
-    *[pytest.param(random_kb(seed), id=f"corpus-{seed}") for seed in range(0, 500, 10)],
+@pytest.mark.parametrize("kb_text,max_body", [
+    pytest.param(BRIDGE, None, id="bridge"),
+    *[pytest.param(random_kb(seed), None, id=f"corpus-{seed}") for seed in range(0, 500, 10)],
+    *[pytest.param(random_kb(seed), 4, id=f"corpus-{seed}-cap4") for seed in BASE_RENUMBER_SEEDS],
 ])
-def test_structural_set_keys_merge_as_rendered_text(monkeypatch, kb_text):
-    """The walk's clause-set keys, key memo included, merge exactly the sets
-    whose rendered clause sets are equal."""
+def test_structural_set_keys_merge_as_rendered_text(monkeypatch, kb_text, max_body):
+    """The walk's clause-set keys merge exactly the sets whose rendered clause
+    sets are equal."""
     kb = parse_kb(kb_text)
-    structural = learn(compile_kb(kb), kb.task).hypotheses
+    task = replace(kb.task, max_body=max_body or kb.task.max_body)
+    structural = learn(compile_kb(kb), task).hypotheses
     monkeypatch.setattr(engine._Walk, "set_key", lambda self, clauses: frozenset(
         render_clause(c.head, c.body, self.sym) for c in clauses))
     kb = parse_kb(kb_text)
-    assert learn(compile_kb(kb), kb.task).hypotheses == structural
+    assert learn(compile_kb(kb), task).hypotheses == structural
+
+
+
+def _first_use(clause: Clause) -> Clause:
+    """The clause with its variables renumbered in the order they first occur."""
+    names = {}
+
+    def rename(atom):
+        return Atom(atom.pred, tuple(names.setdefault(t, Var(len(names))) if isinstance(t, Var) else t
+                                     for t in atom.args))
+    return Clause(rename(clause.head), tuple(map(rename, clause.body)))
+
+
+def _learned(population: str, max_body):
+    """(kb, learn result) per KB of the population, at its own body cap or at
+    `max_body`.  At cap 4 the corpus is BASE_RENUMBER_SEEDS and every tenth
+    seed: all 500 seeds take about 18 s (Python 3.11, one core of a 2-vCPU
+    machine)."""
+    if population == "corpus" and max_body is None:
+        yield from learned_corpus()
+        return
+    if population == "corpus":
+        yield from ((kb, result) for _, kb, result in learned_at_cap4())
+        texts = [random_kb(seed) for seed in range(0, CORPUS_SIZE, 10) if seed not in BASE_RENUMBER_SEEDS]
+    else:
+        texts = [kb.text() for kb in [*map(chain_kb, CHAIN_SIZES), *map(grid_kb, GRID_SIZES)]]
+    for text in texts:
+        kb = parse_kb(text)
+        yield kb, learn(compile_kb(kb), replace(kb.task, max_body=max_body or kb.task.max_body))
+
+
+@pytest.mark.parametrize("max_body", [None, 4], ids=["own-cap", "cap-4"])
+@pytest.mark.parametrize("population", ["corpus", "graphs"])
+def test_walk_clauses_are_in_first_use_order(population, max_body):
+    """Every clause of the emitted and the rejected sets numbers its variables
+    in first-use order, the order theta inverse binds them, so two walk
+    clauses are alphabetic variants exactly when they are equal."""
+    for kb, result in _learned(population, max_body):
+        for clause in chain(*result.hypotheses, *(clauses for clauses, _ in result.rejected)):
+            assert clause == _first_use(clause), render_clause(clause.head, clause.body, kb.symbols)
 
 
 # the graphs benchmark's chain40 KB: a 40-node path, a positive that needs

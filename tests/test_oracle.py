@@ -24,7 +24,9 @@ from nemus_icl import (
     SymbolTable,
     Verdict,
     clause_key,
+    compile_kb,
     enumerate_hypotheses,
+    learn,
     least_model,
     parse_hypothesis,
     parse_kb,
@@ -622,8 +624,8 @@ def test_repeated_invent_source_leaves_the_enumerate_stream_as_it_is(kb_text):
 @st.composite
 def _invent_kb(draw) -> str:
     """A KB over e/2 and f/2, each with facts, the target t/2, with or without
-    facts, and zero, one or two biases.  A source may be the target when it
-    has facts, and the second bias may read the first, so an invented
+    facts, and zero, one or two biases.  A source may be the target, with or
+    without facts, and the second bias may read the first, so an invented
     predicate may read the target through another."""
     pairs = [(x, y) for x in "abc" for y in "abc"]
     rows = {p: draw(st.lists(st.sampled_from(pairs), min_size=p != "t", max_size=3, unique=True)) for p in "eft"}
@@ -635,12 +637,11 @@ def _invent_kb(draw) -> str:
     lines = [f"{p}({x},{y})." for p, xys in rows.items() for x, y in xys]
     lines += ["#target t/2."] + [f"#positive t({x},{y})." for x, y in examples[:n_pos]]
     lines += [f"#negative t({x},{y})." for x, y in examples[n_pos:]]
-    known = "eft" if rows["t"] else "ef"  # a source must have facts or be invented
     n_biases = draw(st.integers(0, 2))
     if n_biases:
-        lines.append(f"#invent p/2 from {sources(known)}.")
+        lines.append(f"#invent p/2 from {sources('eft')}.")
     if n_biases == 2:
-        lines.append(f"#invent q/2 from {sources(known + 'p')}.")
+        lines.append(f"#invent q/2 from {sources('eftp')}.")
     return "\n".join(lines) + "\n"
 
 
@@ -709,6 +710,25 @@ def test_a_row_reading_neither_the_target_nor_a_reached_head_makes_no_verify_cal
         flat += n == 0
         assert verdict == verify(kb.facts, clauses, task.positives, task.negatives)
     assert flat
+
+
+@pytest.mark.parametrize("kb_text", [
+    "f(a, b).\ng(a).\n#target p/1.\n#positive p(a).\n#invent q/1 from p/1.\n",
+    "e(a,a). #target t/2. #positive t(a,a). #invent p/2 from t/2.\n",
+], ids=["unary", "binary"])
+def test_a_target_without_facts_is_an_invent_source(kb_text):
+    """A target with no facts may be an #invent source: the KB parses, its
+    bias reads the target, learn finds a set, and every enumerate verdict is
+    verify's over the plain facts."""
+    kb = parse_kb(kb_text)
+    task = kb.task
+    assert task.biases[0].sources == (task.target,)
+    assert task.target not in {f.pred for f in kb.facts}
+    assert learn(compile_kb(kb), task).hypotheses
+    rows = list(enumerate_hypotheses(kb.facts, task, EnumCaps(max_body=2, max_clauses=3, max_vars=2), kb.symbols))
+    assert any(verdict.ok for _, verdict in rows)
+    for clauses, verdict in rows:
+        assert verdict == verify(kb.facts, clauses, task.positives, task.negatives)
 
 
 @pytest.mark.parametrize("as_negative", [False, True], ids=["positive", "negative"])
