@@ -213,6 +213,19 @@ def _clause_preds(clauses) -> set:
     return out
 
 
+def _reads_another(combo, merged) -> bool:
+    """Whether some set of the combo reads a predicate that a clause of the
+    union outside that set derives.  A set inside another set of the combo
+    adds nothing to the union, so it is not asked."""
+    for clauses in combo:
+        if any(len(clauses) < len(other) and all(cl in other for cl in clauses) for other in combo):
+            continue
+        derived = {cl.head.pred for cl in merged if cl not in clauses}
+        if any(a.pred in derived for cl in clauses for a in cl.body):
+            return True
+    return False
+
+
 class _Walk:
     """Search state shared across one learn() call, the invention sub-walks
     included: counters, memos, rejections, taken predicates."""
@@ -493,14 +506,15 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
     hypotheses: dict = {}
     if nonempty:
         # one choice per example, union.  Each set was verified against its
-        # own positive and every negative, and the least model is monotone in
-        # the program: the union derives each positive one of its sets derives,
-        # and a union equal to one of its sets derives no negative.  So it is
-        # re-verified only when a positive has no set, or when two sets
-        # together might derive a negative.
+        # own positive and every negative.  When no set reads a predicate
+        # that a clause of the union outside it derives, the splitting-set
+        # theorem makes the union's least model the union of its sets'
+        # models: it derives every covered positive and no negative.  So it
+        # is re-verified only when a positive has no set, or when the task
+        # has negatives and one set reads what another derives.
         for combo in product(*nonempty):
             merged = tuple(dict.fromkeys(chain.from_iterable(combo)))
-            if uncovered or (task.negatives and len(merged) > max(map(len, combo))):
+            if uncovered or (task.negatives and _reads_another(combo, merged)):
                 verdict = walk.verdict(merged, task.positives, task.negatives)
                 if not verdict.ok:
                     walk.stats.dropped += 1

@@ -51,11 +51,14 @@ def random_kb(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def multi_positive_kb(seed: int, n_positives: int, unsupported: bool) -> str:
+def multi_positive_kb(seed: int, n_positives: int, unsupported: bool, max_body: int = 2,
+                      invent: bool = False) -> str:
     """A corpus-shaped KB with n_positives positives taken from its own facts
     (fewer when the facts have too few), plus one on a constant no fact
     mentions when `unsupported` or when fewer than two were taken; 0-2
-    negatives; up to 12 facts and max_body 2, so the merge stays small."""
+    negatives; up to 12 facts and max_body 2 by default, so the merge stays
+    small.  With `invent`, a bias `#invent q/N from ...` over some of the
+    KB's predicates of the target's arity, the target sometimes among them."""
     rng = random.Random(f"multi_positive:{seed}")
     _, facts = _random_facts(rng, 12)
     arity = rng.choice([1, 2])
@@ -75,7 +78,11 @@ def multi_positive_kb(seed: int, n_positives: int, unsupported: bool) -> str:
     lines = _fact_lines(facts) + [f"#target tgt/{arity}."]
     lines += [f"#positive tgt({', '.join(e)})." for e in positives]
     lines += [f"#negative tgt({', '.join(e)})." for e in negatives]
-    lines.append("#max_body 2.")
+    if invent:
+        preds = sorted({pred for pred, args in facts if len(args) == arity}) + ["tgt"]
+        sources = rng.sample(preds, rng.randint(1, len(preds)))
+        lines.append(f"#invent q/{arity} from {', '.join(f'{p}/{arity}' for p in sources)}.")
+    lines.append(f"#max_body {max_body}.")
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import subprocess
 import sys
 from dataclasses import replace
 from itertools import chain, product
@@ -389,15 +390,22 @@ def reference_learn(nemus, task, include_pruned):
     return tuple(hypotheses.values()), tuple(invented), walk.stats, tuple(walk.rejected)
 
 
-@given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans(), st.booleans())
-@example(440, 2, False, False)  # two covering sets that together derive a negative
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans(), st.booleans(), st.sampled_from([2, 3]),
+       st.booleans())
+@example(440, 2, False, False, 2, False)  # two covering sets that together derive a negative
+# q reads the target: a set carrying q's definitions reads what another set
+# derives, and one such union derives the negative tgt(c4, c2)
+@example(103, 2, False, False, 2, True)
 @settings(max_examples=80, deadline=None)
-def test_merge_verifies_only_unions_that_can_fail(seed, n_positives, unsupported, include_pruned):
-    """Skipping the re-verification of unions that monotonicity settles
-    changes no hypothesis, invented predicate, counter or rejection."""
-    kb = parse_kb(multi_positive_kb(seed, n_positives, unsupported))
+def test_merge_verifies_only_unions_that_can_fail(seed, n_positives, unsupported, include_pruned, max_body, invent):
+    """Skipping the re-verification of unions in which no set reads a
+    predicate that a clause outside it derives changes no hypothesis,
+    invented predicate, counter or rejection: by the splitting-set theorem
+    such a union's least model is the union of its sets' models."""
+    text = multi_positive_kb(seed, n_positives, unsupported, max_body, invent)
+    kb = parse_kb(text)
     expected = reference_learn(compile_kb(kb), kb.task, include_pruned)
-    kb = parse_kb(multi_positive_kb(seed, n_positives, unsupported))
+    kb = parse_kb(text)
     result = learn(compile_kb(kb), kb.task, include_pruned=include_pruned)
     assert (result.hypotheses, result.invented, result.stats, result.rejected) == expected
 
@@ -434,13 +442,18 @@ def test_a_prefix_of_the_walk_stream_makes_only_the_verify_calls_it_needed(monke
         assert (k, len(calls)) == (len(at_set), total), seed
 
 
-def test_merge_without_negatives_calls_the_oracle_only_per_positive(monkeypatch):
-    """Three covered positives and no negatives: every union derives every
-    positive, so the merge makes no verify call of its own."""
-    kb = parse_kb(
-        "f(a, b).\ng(a, b).\nf(c, d).\ng(c, d).\nf(e, h).\n#target t/2.\n"
-        "#positive t(a, b).\n#positive t(c, d).\n#positive t(e, h).\n#max_body 2.\n"
-    )
+@pytest.mark.parametrize("text", [
+    "f(a, b).\ng(a, b).\nf(c, d).\ng(c, d).\nf(e, h).\n#target t/2.\n"
+    "#positive t(a, b).\n#positive t(c, d).\n#positive t(e, h).\n#max_body 2.\n",
+    "f(a, b).\ng(a, b).\nf(c, d).\ng(c, d).\nf(e, h).\n#target t/2.\n"
+    "#positive t(a, b).\n#positive t(c, d).\n#positive t(e, h).\n#negative t(a, d).\n#max_body 2.\n",
+], ids=["no-negatives", "an-underived-negative"])
+def test_merge_of_sets_that_read_nothing_another_derives_makes_no_verify_call(monkeypatch, text):
+    """Every positive has a set and no set reads a predicate that another set
+    derives, so each union's model is the union of its sets' models: it
+    derives every positive and no negative, and the merge makes no verify
+    call of its own, even for a union larger than each of its sets."""
+    kb = parse_kb(text)
     calls = []
     real = engine.verify
     monkeypatch.setattr(engine, "verify",
@@ -466,6 +479,29 @@ def test_merge_rechecks_a_union_that_can_derive_a_negative():
     assert any(recursive <= render_set(h, kb.symbols) and failed == negative for h, failed in result.rejected)
     assert result.hypotheses
     assert not any(recursive <= render_set(h, kb.symbols) for h in result.hypotheses)
+
+
+def test_merge_rechecks_only_a_union_in_which_a_set_reads_what_another_derives(monkeypatch):
+    """q(X,Y) :- t(X,Y) makes every set read t.  The set of t(a, b) joined
+    with the two-hop set of t(a, c) is re-verified, since the two-hop clause
+    derives t outside the first set.  The first set joined with the
+    recursive set is the recursive set itself, verified already, so the
+    merge leaves it alone."""
+    kb = parse_kb(
+        "e(a, b).\ne(b, c).\n#target t/2.\n#positive t(a, b).\n#positive t(a, c).\n#negative t(c, a).\n"
+        "#invent q/2 from e/2, t/2.\n#max_body 2.\n"
+    )
+    merged = []
+    real = engine.verify
+    monkeypatch.setattr(engine, "verify",
+                        lambda bk, clauses, pos, neg:
+                        (len(pos) > 1 and merged.append(clauses)) or real(bk, clauses, pos, neg))
+    result = learn(compile_kb(kb), kb.task)
+    defs = {"q(X,Y) :- e(X,Y).", "q(X,Y) :- t(X,Y).", "t(X,Y) :- q(X,Y)."}
+    assert [render_set(clauses, kb.symbols) for clauses in merged] == [defs | {"t(X,Y) :- q(X,Z0), q(Z0,Y)."}]
+    assert [render_set(h, kb.symbols) for h in result.hypotheses] == [
+        defs | {"t(X,Y) :- q(X,Z0), q(Z0,Y)."}, defs | {"t(X,Y) :- q(X,Z0), t(Z0,Y)."}
+    ]
 
 
 def test_learn_walks_a_repeated_positive_once():
@@ -674,3 +710,17 @@ def test_chain40_learns_the_recursive_set_at_each_body_cap(max_body):
     kb = parse_kb(CHAIN40)
     task = replace(kb.task, max_body=max_body)
     assert len(learn(compile_kb(kb), task).hypotheses) == 1
+
+
+# open fault: the merge builds every union of the product of the
+# per-positive sets, 320 x 344 x 324 of them here, though it verifies none.
+# The bound is a child process killed at 2 s, not an alarm in this one: an
+# alarm that lands while the interpreter runs a finalizer has its exception
+# swallowed, and learn then runs on until memory runs out
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="the product merge over three positives blows up")
+def test_learn_merges_three_positives_within_two_seconds(tmp_path):
+    path = tmp_path / "three_positives.kb"
+    path.write_text(random_kb(347).replace("#positive tgt(c1).\n",
+                                           "#positive tgt(c1).\n#positive tgt(c3).\n#positive tgt(c2).\n"))
+    subprocess.run([sys.executable, "-m", "nemus_icl", "learn", str(path)], capture_output=True, check=True, timeout=2)
