@@ -8,7 +8,6 @@ which is slow but complete — handy as a parity check on the walk.
 
 from nemus_icl import (
     EnumCaps,
-    Program,
     compile_kb,
     enumerate_hypotheses,
     least_model,
@@ -42,7 +41,7 @@ kb = parse_kb(KB)
 clauses = parse_hypothesis(HYPOTHESIS, kb.symbols)
 
 # the fixpoint: 4 facts close to 17 atoms, 9 of them ancestor pairs
-model = least_model(Program(list(kb.facts), list(clauses)))
+model = least_model(kb.facts, clauses)
 print(f"least model has {len(model)} atoms:")
 for atom in sorted(model):
     print("  " + render_ground_atom(atom, kb.symbols))

@@ -13,7 +13,6 @@ The package splits into four layers:
 """
 
 from .engine import (
-    AntiSubstitution,
     Hypothesis,
     LearnResult,
     PreconditionFault,
@@ -58,7 +57,6 @@ from .nemus import (
 from .oracle import (
     Bk,
     EnumCaps,
-    Program,
     RangeRestrictionFault,
     Verdict,
     clause_key,
@@ -70,10 +68,10 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntiSubstitution", "ArityError", "Atom", "Bk", "Clause", "Directive", "EnumCaps",
+    "ArityError", "Atom", "Bk", "Clause", "Directive", "EnumCaps",
     "GroundAtom", "Hypothesis", "InventionBias", "KbError",
     "KnowledgeBase", "LearnResult", "LearnTask", "ParseError",
-    "PreconditionFault", "Program", "RangeRestrictionFault",
+    "PreconditionFault", "RangeRestrictionFault",
     "SharedNeMuS", "Stats", "SymbolTable", "UnknownCode",
     "UnknownInstance", "ValidationError", "Var",
     "Verdict", "anti_unify", "apply_bias", "atom_of",

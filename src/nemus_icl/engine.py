@@ -39,39 +39,13 @@ class PreconditionFault(Exception):
     pass
 
 
-class AntiSubstitution:
-    """Injective constant->variable map (theta inverse), injective both ways."""
-
-    def __init__(self, mapping: Optional[dict] = None):
-        self.mapping = dict(mapping) if mapping else {}
-        self.inverse = {v: c for c, v in self.mapping.items()}
-
-    def get(self, const: int) -> Optional[Var]:
-        return self.mapping.get(const)
-
-    def bind(self, const: int, var: Var):
-        if const in self.mapping or var in self.inverse:
-            raise PreconditionFault(f"binding {const}->{var} breaks injectivity")
-        self.mapping[const] = var
-        self.inverse[var] = const
-
-    def copy(self) -> "AntiSubstitution":
-        return AntiSubstitution(self.mapping)
-
-    def __contains__(self, const: int) -> bool:
-        return const in self.mapping
-
-    def __len__(self):
-        return len(self.mapping)
-
-
 @dataclass
 class Hypothesis:
     """An open hypothesis branch with its walk bookkeeping."""
 
     head: Atom
     body: tuple
-    theta_inv: AntiSubstitution
+    theta_inv: dict  # constant -> Var(0), Var(1), ... in binding order
     frontier: tuple = ()  # constants whose bindings extend this branch next
     pairs: dict = field(default_factory=dict)  # positive const -> negative counterparts
     used: frozenset = frozenset()  # ground atoms consumed on this branch
@@ -111,20 +85,20 @@ def inductive_momentum(l_plus, l_minus, k: int, m: int) -> str:
     return CONSISTENT
 
 
-def anti_unify(atom, theta_inv: AntiSubstitution):
+def anti_unify(atom, theta_inv: dict):
     """Replace constants by their mapped variables, minting Var(len(theta))
     for each unseen constant, so variables are numbered in the order theta
-    binds them.  Returns (generalized atom, extended theta); the input theta
-    is never mutated."""
+    binds them.  theta maps constants to Var(0), ..., Var(n-1) in binding
+    order, which keeps it injective.  Returns (generalized atom, extended
+    theta); the input theta is never mutated."""
     out = theta_inv
     terms = []
     for c in atom.args:
         v = out.get(c)
         if v is None:
             if out is theta_inv:
-                out = theta_inv.copy()
-            v = Var(len(out))
-            out.bind(c, v)
+                out = dict(theta_inv)
+            v = out[c] = Var(len(out))
         terms.append(v)
     return Atom(atom.pred, tuple(terms)), out
 
@@ -162,6 +136,8 @@ def try_recursion(open_hyp: Hypothesis, next_atom, nemus: SharedNeMuS, tau: floa
     pred = next_atom.pred
     if pred != open_hyp.body[-1].pred:
         raise PreconditionFault("candidate is not in the same concept region")
+    if hook is None and not open_hyp.frontier:
+        raise PreconditionFault("no hook and no frontier constant to close the chain at")
     if len(open_hyp.head.args) != 2 or len(next_atom.args) != 2:
         return None
     sources = (sources_of or {}).get(pred)
@@ -188,7 +164,7 @@ def try_recursion(open_hyp: Hypothesis, next_atom, nemus: SharedNeMuS, tau: floa
 def _head(pred: int, example: GroundAtom):
     """The example anti-unified as a head of `pred`: its constants become X,
     Y, ... in first-use order.  Returns (head atom, theta inverse)."""
-    return anti_unify(GroundAtom(pred, example.args), AntiSubstitution())
+    return anti_unify(GroundAtom(pred, example.args), {})
 
 
 def _lockstep(pairs: dict, pos_atom, neg_atoms, skip=None) -> dict:
@@ -285,6 +261,19 @@ class _Walk:
             verdict = self.verdicts[key] = verify(self.nemus.bk, clauses, positives, negatives)
         return verdict
 
+    def judge(self, clauses, shown: Clause, example: GroundAtom, negatives, phase=1) -> Optional[tuple]:
+        """The set with the bias definitions it reads, without repeats, when
+        the oracle verifies it on the example against the negatives; None
+        when it fails, which is counted and recorded.  Either way the shown
+        clause goes to the trace as verified or dropped."""
+        full = tuple(dict.fromkeys(self.attach_defs(clauses)))
+        verdict = self.verdict(full, (example,), negatives)
+        if not verdict.ok:
+            self.stats.dropped += 1
+            self.rejected.append((full, verdict.failed))
+        self.emit_trace(None, shown, NOT_APPLIED, "verified" if verdict.ok else "dropped", phase=phase)
+        return full if verdict.ok else None
+
     def set_key(self, clauses) -> frozenset:
         """The clause set itself: every clause the walk builds is in first-use
         variable order, so two are alphabetic variants exactly when equal."""
@@ -332,13 +321,8 @@ class _Walk:
         )
 
         def record(clauses, shown: Clause):
-            full = tuple(dict.fromkeys(self.attach_defs(clauses)))
-            verdict = self.verdict(full, (e_pos,), negatives)
-            if not verdict.ok:
-                self.stats.dropped += 1
-                self.rejected.append((full, verdict.failed))
-            self.emit_trace(None, shown, NOT_APPLIED, "verified" if verdict.ok else "dropped")
-            if verdict.ok and (key := self.set_key(full)) not in seen:
+            full = self.judge(clauses, shown, e_pos, negatives)
+            if full is not None and (key := self.set_key(full)) not in seen:
                 seen.add(key)
                 yield full
 
@@ -421,11 +405,14 @@ class _Walk:
                 and state.frontier
                 and head.args[1].code not in body_vars
             ):
-                yield from self._invent(state, head, e_pos, record)
+                for union in self._invent(state, head, e_pos):
+                    yield from record(union, union[0])  # shown: the closing clause
 
             queue.extend(extensions)
 
-    def _invent(self, state: Hypothesis, head, e_pos, record):
+    def _invent(self, state: Hypothesis, head, e_pos):
+        """The clause closing the state through a fresh predicate, followed by
+        each set that the bridge's sub-walk verifies."""
         closing = invent_auto(state, self.fresh_pred)
         inv_pred = closing.pred
         self.emit_trace(state.frontier[0], self.sym.render_sig(inv_pred), NOT_APPLIED, "invent")
@@ -435,15 +422,16 @@ class _Walk:
         sub_sets = list(self.learn_positive(bridge, inv_pred, (), allow_invention=False))
         main = Clause(head, state.body + (closing,))
         for sub_clauses in sub_sets:
-            yield from record((main,) + sub_clauses, main)
+            yield (main,) + sub_clauses
 
     # -- phase 2: exhaustive connected-witness fallback --
 
     def witness_walk(self, e_pos: GroundAtom):
         """Grow connected ground witnesses and anti-unify them; complete for
-        single-clause solutions within max_body.  Yields at most one set: it
-        stops at the first verified one.  No momentum, no bias, no invention
-        here."""
+        single-clause solutions within max_body.  Each witness clause is
+        judged as a phase-2 set, like the narrow walk's; the walk yields at
+        most one, stopping at the first verified.  No momentum, no bias, no
+        invention here."""
         facts = self.nemus.bk.facts
         head_consts = set(e_pos.args)
         head, theta0 = _head(self.task.target, e_pos)
@@ -465,13 +453,10 @@ class _Walk:
                     atom, theta = anti_unify(facts[i], theta)
                     body.append(atom)
                 clause = Clause(head, tuple(body))
-                verdict = self.verdict((clause,), (e_pos,), self.task.negatives)
-                self.emit_trace(None, clause, NOT_APPLIED, "verified" if verdict.ok else "dropped", phase=2)
-                if verdict.ok:
-                    yield (clause,)
+                full = self.judge((clause,), clause, e_pos, self.task.negatives, phase=2)
+                if full is not None:
+                    yield full
                     return
-                self.stats.dropped += 1
-                self.rejected.append(((clause,), verdict.failed))
 
             if len(state) >= self.task.max_body:
                 continue

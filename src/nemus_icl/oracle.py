@@ -42,7 +42,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .kb import Atom, Clause, GroundAtom, Var, atom_vars, is_ground
@@ -99,12 +98,6 @@ class Bk:
 def _compiled(bk) -> Bk:
     """bk itself when already compiled, else the Bk of a fact iterable."""
     return bk if isinstance(bk, Bk) else Bk(bk)
-
-
-@dataclass
-class Program:
-    facts: Bk | list  # or any other iterable of GroundAtom
-    rules: list  # Clause; every head variable must occur in the body; ground units are facts
 
 
 class Verdict(NamedTuple):
@@ -338,14 +331,16 @@ def _fixpoint(looped, relations, index, hb_size):
         _extend(relations, index, delta)
 
 
-def least_model(prog: Program) -> frozenset:
+def least_model(bk, clauses) -> frozenset:
     """Least fixpoint of the immediate-consequence step over the compiled BK.
 
-    The flat rules add their kept matches over the BK.  Only the looped rules
+    bk is a compiled Bk or an iterable of facts.  Every head variable of a
+    rule must occur in its body; ground unit clauses count as facts.  The
+    flat rules add their kept matches over the BK.  Only the looped rules
     run the semi-naive loop with indexed joins, seeded with the units and the
     flat rules' atoms; without them no fixpoint runs."""
-    bk = _compiled(prog.facts)
-    rules, units, derived_preds, fired, looped = _split(bk, prog.rules)
+    bk = _compiled(bk)
+    rules, units, derived_preds, fired, looped = _split(bk, clauses)
     if not looped:
         return bk.atoms.union(units, *fired)
     relations, index = _seeded(bk, derived_preds, itertools.chain(units, *fired))
@@ -436,9 +431,7 @@ def verify(bk, hypothesis, positives, negatives) -> Verdict:
         heads = {clause.head.pred for clause in looped}
         demanded = [e for e in (*positives, *negatives) if e.pred in heads]
         clauses = [c for c in clauses if c not in looped] + _magic_rewrite(looped, demanded)
-    model = least_model(Program(bk, clauses))
-    if not heads:
-        return _verdict(model.__contains__, positives, negatives)
+    model = least_model(bk, clauses)
     return _verdict(lambda e: (GroundAtom(("a", e.pred, "b" * len(e.args)), e.args) if e.pred in heads else e)
                     in model, positives, negatives)
 

@@ -17,7 +17,6 @@ from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_defines_
 from corpus import BASE_RENUMBER_SEEDS, CORPUS_SIZE, multi_positive_kb, random_kb
 from nemus_icl import engine, oracle
 from nemus_icl import (
-    AntiSubstitution,
     Atom,
     Clause,
     GroundAtom,
@@ -63,7 +62,7 @@ def test_inductive_momentum_preconditions():
 
 
 def test_anti_unify_extends_theta():
-    theta = AntiSubstitution()
+    theta = {}
     atom, theta2 = anti_unify(GroundAtom(0, (0, 1)), theta)
     assert atom == Atom(0, (Var(0), Var(1)))
     assert len(theta2) == 2
@@ -76,7 +75,7 @@ def test_anti_unify_extends_theta():
 
 
 def test_anti_unify_repeated_constant():
-    atom, theta = anti_unify(GroundAtom(0, (7, 7)), AntiSubstitution())
+    atom, theta = anti_unify(GroundAtom(0, (7, 7)), {})
     assert atom == Atom(0, (Var(0), Var(0)))
     assert len(theta) == 1
 
@@ -84,20 +83,16 @@ def test_anti_unify_repeated_constant():
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 9)), max_size=8))
 @settings(max_examples=200)
 def test_anti_substitution_stays_injective(chain):
-    theta = AntiSubstitution()
+    """From {}, every chain of anti_unify calls numbers theta's variables
+    Var(0), ..., Var(n-1) in binding order, so theta stays injective, and
+    no call changes the dict it was given."""
+    theta = {}
     for pred, a, b in chain:
-        _, theta = anti_unify(GroundAtom(pred, (a, b)), theta)
-    vals = list(theta.mapping.values())
-    assert len(vals) == len(set(vals))
-
-
-def test_anti_substitution_bind_guards():
-    theta = AntiSubstitution()
-    theta.bind(3, Var(0))
-    with pytest.raises(PreconditionFault):
-        theta.bind(3, Var(1))  # constant already mapped
-    with pytest.raises(PreconditionFault):
-        theta.bind(4, Var(0))  # variable already used
+        before = dict(theta)
+        _, extended = anti_unify(GroundAtom(pred, (a, b)), theta)
+        assert theta == before
+        theta = extended
+        assert list(theta.values()) == [Var(i) for i in range(len(theta))]
 
 
 def test_apply_bias_rewrites_to_the_invented_predicate():
@@ -122,7 +117,7 @@ def test_bias_definitions_one_clause_per_source():
 
 
 def _open_hyp():
-    theta = AntiSubstitution({10: Var(0), 11: Var(1), 12: Var(2)})
+    theta = {10: Var(0), 11: Var(1), 12: Var(2)}
     return Hypothesis(
         head=Atom(5, (Var(0), Var(1))),
         body=(Atom(0, (Var(0), Var(2))),),
@@ -159,7 +154,7 @@ def test_try_recursion_family_pair(family_kb, family_nemus):
     sym = family_kb.symbols
     parent = sym.predicate_code("parent", 2)
     alice = sym.constant_code("alice")
-    theta = AntiSubstitution({0: Var(0), 3: Var(1), alice: Var(2)})  # jake, bob, alice
+    theta = {0: Var(0), 3: Var(1), alice: Var(2)}  # jake, bob, alice
     state = Hypothesis(
         head=Atom(sym.predicate_code("ancestor", 2), (Var(0), Var(1))),
         body=(Atom(parent, (Var(0), Var(2))),),
@@ -193,11 +188,15 @@ def test_try_recursion_guards(family_kb, family_nemus):
     with pytest.raises(PreconditionFault):
         # candidate predicate differs from the last body atom's
         try_recursion(state, Atom(7, (Var(2), Var(3))), family_nemus, 0.2, hook=12)
+    with pytest.raises(PreconditionFault):
+        # no hook and an empty frontier: no constant to close the chain at,
+        # as invent_auto refuses the same state
+        try_recursion(replace(state, frontier=()), Atom(0, (Var(2), Var(3))), family_nemus, 0.0)
     # the walk looped back to a head constant: no chain tip, not an error
     loop = Hypothesis(
         head=Atom(parent, (Var(0), Var(1))),
         body=(Atom(0, (Var(0), Var(2))), Atom(0, (Var(2), Var(0))),),
-        theta_inv=AntiSubstitution({20: Var(0), 21: Var(1), 22: Var(2)}),
+        theta_inv={20: Var(0), 21: Var(1), 22: Var(2)},
         frontier=(20,),
     )
     assert try_recursion(

@@ -18,7 +18,6 @@ from nemus_icl import (
     Clause,
     EnumCaps,
     GroundAtom,
-    Program,
     RangeRestrictionFault,
     Var,
     SymbolTable,
@@ -49,7 +48,7 @@ def family_with_solution():
 
 def test_family_least_model_golden():
     kb, clauses = family_with_solution()
-    model = least_model(Program(list(kb.facts), list(clauses)))
+    model = least_model(kb.facts, clauses)
     assert len(model) == 17  # 4 facts + 4 parent + 9 ancestor
     sym = kb.symbols
     name = lambda *cs: tuple(sym.constant_code(c) for c in cs)
@@ -63,20 +62,20 @@ def test_family_least_model_golden():
 
 def test_facts_only_model():
     facts = [GroundAtom(0, (0, 1)), GroundAtom(1, (1,))]
-    assert least_model(Program(facts, [])) == frozenset(facts)
+    assert least_model(facts, []) == frozenset(facts)
 
 
 def test_self_recursive_rule_terminates():
     # p(X) :- p(X) adds nothing and must not loop
     rule = Clause(Atom(1, (Var(0),)), (Atom(1, (Var(0),)),))
-    model = least_model(Program([GroundAtom(0, (0,))], [rule]))
+    model = least_model([GroundAtom(0, (0,))], [rule])
     assert model == frozenset({GroundAtom(0, (0,))})
 
 
 def test_range_restriction_fault():
     bad = Clause(Atom(1, (Var(0), Var(1))), (Atom(0, (Var(0), Var(0))),))
     with pytest.raises(RangeRestrictionFault):
-        least_model(Program([GroundAtom(0, (0, 0))], [bad]))
+        least_model([GroundAtom(0, (0, 0))], [bad])
     with pytest.raises(RangeRestrictionFault):
         verify([GroundAtom(0, (0, 0))], [Clause(Atom(1, (Var(0),)), ())], [], [])
 
@@ -134,8 +133,8 @@ def test_model_monotone_in_facts(data):
         # t(X,Y) :- p0(X,Y)
         Clause(Atom(2, (Var(0), Var(1))), (Atom(0, (Var(0), Var(1))),)),
     ]
-    small = least_model(Program(base, rules))
-    big = least_model(Program(base + extra, rules))
+    small = least_model(base, rules)
+    big = least_model(base + extra, rules)
     assert small <= big
 
 
@@ -221,9 +220,9 @@ def test_compiled_model_and_verdict_match_naive_fixpoint(facts, clauses, positiv
     expected = _naive_model(facts, clauses)
     bk = Bk(facts)
     # twice over one Bk: a fixpoint must leave the compiled BK as it found it
-    assert least_model(Program(bk, clauses)) == expected
-    assert least_model(Program(bk, clauses)) == expected
-    assert least_model(Program(facts, clauses)) == expected
+    assert least_model(bk, clauses) == expected
+    assert least_model(bk, clauses) == expected
+    assert least_model(facts, clauses) == expected
     assert bk.relations == Bk(facts).relations and bk.index == Bk(facts).index
 
     want = _naive_verdict(expected, positives, negatives)
@@ -237,14 +236,14 @@ def test_compiled_model_and_verdict_match_naive_fixpoint(facts, clauses, positiv
 
 @contextlib.contextmanager
 def _least_model_calls(**patches):
-    """The (program, model) of every least_model call made in the block,
+    """The (bk, clauses, model) of every least_model call made in the block,
     with the oracle's module attributes patched as given."""
     calls = []
     real = oracle.least_model
 
-    def spy(prog):
-        calls.append((prog, real(prog)))
-        return calls[-1][1]
+    def spy(bk, clauses):
+        calls.append((bk, clauses, real(bk, clauses)))
+        return calls[-1][2]
 
     with mock.patch.multiple(oracle, least_model=spy, **patches):
         yield calls
@@ -269,7 +268,7 @@ def test_magic_rewrite_derives_only_atoms_of_the_whole_model(facts, clauses, exa
     adorned atom read under its predicate.  Magic atoms record demand, not
     truth, and are not checked."""
     whole = _naive_model(facts, clauses)
-    _, [(_, model)] = _verify_by_demand(Bk(facts), clauses, examples, [])
+    _, [(_, _, model)] = _verify_by_demand(Bk(facts), clauses, examples, [])
     for atom in model:
         if isinstance(atom.pred, int):
             assert atom in whole
@@ -314,7 +313,7 @@ def test_programs_sharing_clauses_over_one_bk_match_naive_fixpoint(data):
     bk = Bk(facts)
     for clauses in programs + programs:
         expected = _naive_model(facts, clauses)
-        assert least_model(Program(bk, clauses)) == expected
+        assert least_model(bk, clauses) == expected
         # the rewritten clauses compiled on the Bk are each program's own
         want = _naive_verdict(expected, positives, negatives)
         assert _verify_by_demand(bk, clauses, positives, negatives)[0] == want
@@ -343,10 +342,10 @@ def test_verify_on_a_large_bk_answers_by_demand():
         assert verify(bk, PATH_RULES[:1], [path(0, 1)], [path(0, 2)]) == Verdict(True, None)
     assert len(calls) == 4
     flat = {path(i, i + 1) for i in range(199)}
-    for prog, model in calls:
+    for called_bk, clauses, model in calls:
         # the magic program in place of the recursive rule: the model holds
         # the flat rule's path atoms and no recursively derived one
-        assert prog.facts is bk and PATH_RULES[1] not in prog.rules
+        assert called_bk is bk and PATH_RULES[1] not in clauses
         assert {atom for atom in model if atom.pred == PATH} == flat
 
 
@@ -356,9 +355,9 @@ def test_verify_below_the_gate_builds_the_whole_model():
     assert len(bk.constants) == 31
     with _least_model_calls() as calls:
         assert verify(bk, PATH_RULES, *examples).ok
-        assert [prog.rules for prog, _ in calls] == [PATH_RULES]
+        assert [clauses for _, clauses, _ in calls] == [PATH_RULES]
         assert verify(Bk(_chain(oracle.DEMAND_MIN_CONSTANTS)), PATH_RULES, *examples).ok
-    assert len(calls) == 2 and PATH_RULES[1] not in calls[1][0].rules
+    assert len(calls) == 2 and PATH_RULES[1] not in calls[1][1]
 
 
 def test_rule_flat_in_one_program_reads_derived_in_the_next():
@@ -368,7 +367,7 @@ def test_rule_flat_in_one_program_reads_derived_in_the_next():
     rules = parse_hypothesis("t(X) :- q(X).\nq(X) :- r(X).\n", kb.symbols)
     unit = Clause(Atom(q, (a,)), ())
     bk = Bk(kb.facts)
-    derived = lambda clauses: least_model(Program(bk, clauses)) - bk.atoms
+    derived = lambda clauses: least_model(bk, clauses) - bk.atoms
     assert derived(rules[:1]) == {GroundAtom(t, (b,))}
     assert derived([rules[0], unit]) == {GroundAtom(q, (a,)), GroundAtom(t, (a,)), GroundAtom(t, (b,))}
     assert derived(rules) == {GroundAtom(q, (c,)), GroundAtom(t, (b,)), GroundAtom(t, (c,))}
@@ -415,7 +414,7 @@ def test_rules_sharing_a_variable_pattern_over_two_bks_match_naive_fixpoint(data
     for program, bk_facts in [(clauses, facts[0]), (relabelled, facts[1]), (clauses, facts[1])]:
         bk = Bk(bk_facts)
         expected = _naive_model(bk_facts, program)
-        assert least_model(Program(bk, program)) == expected
+        assert least_model(bk, program) == expected
         assert verify(bk, program, positives, negatives) == _naive_verdict(expected, positives, negatives)
     for clause, twin in zip(clauses, relabelled):
         if clause.body:
@@ -429,7 +428,7 @@ def test_rule_not_range_restricted_raises_in_every_bk_after_its_pattern_is_cache
     facts = [GroundAtom(0, (0, 0)), GroundAtom(1, (1, 1))]
     for clause in (bad, bad, twin):
         with pytest.raises(RangeRestrictionFault):
-            least_model(Program(Bk(facts), [clause]))
+            least_model(Bk(facts), [clause])
     assert oracle._Rule(bad).skeleton is oracle._Rule(twin).skeleton
     assert not oracle._Rule(twin).skeleton.range_restricted
 
@@ -454,7 +453,7 @@ def test_range_restriction_fault_names_the_first_offending_clause(monkeypatch, g
     if gate is not None:
         monkeypatch.setattr(oracle, "DEMAND_MIN_CONSTANTS", gate)
     facts = [GroundAtom(0, (0,)), GroundAtom(0, (1,))]
-    calls = [lambda: least_model(Program(Bk(facts), program)),
+    calls = [lambda: least_model(Bk(facts), program),
              lambda: verify(Bk(facts), program, [GroundAtom(1, (0, 0))], [GroundAtom(1, (1, 0))])]
     for call in calls:
         with pytest.raises(RangeRestrictionFault) as fault:
@@ -469,12 +468,12 @@ def test_units_compile_once_per_bk_and_a_non_ground_unit_raises_on_every_call():
     facts = [GroundAtom(0, (0,)), GroundAtom(0, (1,))]
     bk = Bk(facts)
     ground = Clause(Atom(1, (0, 1)), ())
-    models = [least_model(Program(bk, [ground])) for _ in range(2)]
+    models = [least_model(bk, [ground]) for _ in range(2)]
     assert models[0] == models[1] == frozenset(facts) | {GroundAtom(1, (0, 1))}
     for _ in range(2):
         assert verify(bk, [ground], [GroundAtom(1, (0, 1))], [GroundAtom(1, (1, 0))]).ok
     for _ in range(2):
-        for call in (lambda: least_model(Program(bk, [ground, LOOSE_UNIT])),
+        for call in (lambda: least_model(bk, [ground, LOOSE_UNIT]),
                      lambda: verify(bk, [ground, LOOSE_UNIT], [GroundAtom(1, (0, 1))], [])):
             with pytest.raises(RangeRestrictionFault) as fault:
                 call()
@@ -487,19 +486,19 @@ def test_herbrand_bound_is_computed_at_round_3_and_still_trips(monkeypatch, n_no
     1 allows two, and the bound is not computed before a third."""
     calls = []
     monkeypatch.setattr(oracle, "_hb_size", lambda *args: calls.append(args) or 1)
-    program = Program(Bk(_chain(n_nodes)), PATH_RULES)
+    bk = Bk(_chain(n_nodes))
     if rounds < 3:
-        assert GroundAtom(PATH, (0, n_nodes - 1)) in least_model(program)
+        assert GroundAtom(PATH, (0, n_nodes - 1)) in least_model(bk, PATH_RULES)
         assert calls == []
     else:
         with pytest.raises(RuntimeError, match="Herbrand-base bound"):
-            least_model(program)
+            least_model(bk, PATH_RULES)
         assert len(calls) == 1
 
 
 def test_model_minimality_spot_check():
     kb, clauses = family_with_solution()
-    model = least_model(Program(list(kb.facts), list(clauses)))
+    model = least_model(kb.facts, clauses)
     sym = kb.symbols
     anc = sym.predicate_code("ancestor", 2)
     bob, jake = sym.constant_code("bob"), sym.constant_code("jake")
