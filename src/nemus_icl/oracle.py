@@ -14,12 +14,16 @@ atoms.  Only the rules that read a derived predicate enter semi-naive
 evaluation (Bancilhon & Ramakrishnan 1986), whose joins fetch each atom after
 the delta atom through the index, as in Souffle (Jordan et al., CAV 2016).
 Join plans and the range-restriction check depend only on a rule's variable
-pattern, so they are compiled once per pattern, for every body position, and
-shared by every rule of that pattern, over every BK; a plan names body
-positions, and the join reads each step's predicate from the rule.  Range
-restriction is decided once per kind of clause: by the pattern for a rule, by
-groundness for a unit.  A Bk keeps each clause it has compiled, a rule's _Rule
-or a ground unit's atom, so a clause that recurs over one BK is compiled once.
+pattern, so they are compiled once per pattern and shared by every rule of
+that pattern, over every BK.  The plan from each body position is generated,
+the first time it runs, as a Python function of nested for loops over local
+variables, as Souffle generates C++ for its relational plans (Scholz et al.,
+CC 2016).  A plan names body positions, slots and argument positions only;
+the function takes the rule's body predicates and constants as arguments, so
+no predicate or constant enters the generated source.  Range restriction is
+decided once per kind of clause: by the pattern for a rule, by groundness for
+a unit.  A Bk keeps each clause it has compiled, a rule's _Rule or a ground
+unit's atom, so a clause that recurs over one BK is compiled once.
 
 The examples are ground, so a verdict needs only the atoms they demand.  On a
 BK with at least DEMAND_MIN_CONSTANTS constants, verify replaces the looped
@@ -123,23 +127,38 @@ _ground_atom = functools.partial(tuple.__new__, GroundAtom)
 
 class _Skeleton:
     """What every rule with one variable pattern shares: its range
-    restriction and plans[first], the join plan that reads body atom `first`
-    from the delta.  The pattern is each atom's slot tuple, head first, with
-    slots numbered by first occurrence, plus the slots that hold constants.
-
-    A plan step is (body position, key, binds, tests), each a (position,
-    slot) pair or tuple of them: the index lookup (None scans the relation),
-    a variable's first occurrence, and an argument that must equal its bound
-    slot.  Each atom after the first is the first remaining one with a bound
-    argument, fetched through the index on that argument."""
+    restriction and its generated joins, one per body position.  The pattern
+    is each atom's slot tuple, head first, with slots numbered by first
+    occurrence, plus the slots that hold constants.  A join is generated the
+    first time it runs, so a flat rule, which only ever joins from its first
+    body atom, generates one, and a rule that is not range-restricted, which
+    never runs, generates none."""
 
     def __init__(self, atoms: tuple, constant_slots: tuple):
-        body = atoms[1:]
-        self.range_restricted = set().union(*body).issuperset(set(atoms[0]).difference(constant_slots))
-        self.plans = tuple(_plan(body, constant_slots, first) for first in range(len(body)))
+        self.atoms = atoms
+        self.constant_slots = constant_slots
+        self.range_restricted = set().union(*atoms[1:]).issuperset(set(atoms[0]).difference(constant_slots))
+        self.joins: list = [None] * (len(atoms) - 1)
+
+    def join(self, first: int):
+        """join(rows, env, preds, relations, index, out), shared by every rule
+        of the pattern over every BK: adds to `out` the head tuple of every
+        match of the body, body atom `first` drawing its argument tuples from
+        `rows`.  env holds the rule's constants at their slots and preds its
+        body predicates by position."""
+        join = self.joins[first]
+        if join is None:
+            join = self.joins[first] = _generate(self.atoms, self.constant_slots, first)
+        return join
 
 
 def _plan(body, constant_slots, first: int) -> tuple:
+    """The steps that join `body` from body atom `first`.  A step is (body
+    position, key, binds, tests), each a (position, slot) pair or tuple of
+    them: the index lookup (None scans the relation), a variable's first
+    occurrence, and an argument that must equal its bound slot.  Each atom
+    after the first is the first remaining one with a bound argument,
+    fetched through the index on that argument."""
     bound = set(constant_slots)
     remaining = [j for j in range(len(body)) if j != first]
     steps = []
@@ -162,6 +181,54 @@ def _plan(body, constant_slots, first: int) -> tuple:
         remaining.remove(j)
 
 
+_NO_INDEX: dict = {}
+
+
+def _tuple(names) -> str:
+    """The source of a tuple of the names: a for target or a head."""
+    names = list(names)
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+
+
+def _generate(atoms: tuple, constant_slots: tuple, first: int):
+    """The plan from body atom `first` as a Python function of nested for
+    loops, one per step, with slot s in the local s<s>.  On entry it reads the
+    constants' slots from env, and each later step's relation, or index when
+    the step has a key, through preds.  Each step unpacks an argument tuple,
+    which binds its new variables and puts each tested argument in a local
+    t<step>_<position>, then runs its tests; the key argument, which the
+    lookup matched, is not read.  Only plan integers (slots, body and
+    argument positions) enter the source; no predicate or constant does."""
+    head, body = atoms[0], atoms[1:]
+    steps = _plan(body, constant_slots, first)
+    entry = [f"s{s} = env[{s}]" for s in constant_slots] + ["add = out.add"]
+    loops = []
+    for k, (j, key, binds, tests) in enumerate(steps):
+        pad = "    " * (k + 1)
+        if not k:
+            rows = "rows"
+        elif key is None:
+            entry.append(f"r{k} = relations.get(preds[{j}], ())")
+            rows = f"r{k}"
+        else:
+            entry.append(f"x{k} = index.get(preds[{j}], _NO_INDEX)")
+            rows = f"x{k}.get(({key[0]}, s{key[1]}), ())"
+        names = ["_"] * len(body[j])
+        for pos, s in binds:
+            names[pos] = f"s{s}"
+        for pos, _ in tests:
+            names[pos] = f"t{k}_{pos}"
+        loops.append(f"{pad}for {_tuple(names)} in {rows}:")
+        if tests:
+            loops.append(f"{pad}    if {' or '.join(f't{k}_{pos} != s{s}' for pos, s in tests)}:")
+            loops.append(f"{pad}        continue")
+    loops.append("    " * (len(steps) + 1) + f"add({_tuple(f's{s}' for s in head)})")
+    source = "\n".join(["def join(rows, env, preds, relations, index, out):", *("    " + line for line in entry), *loops])
+    namespace = {"_NO_INDEX": _NO_INDEX}
+    exec(source, namespace)
+    return namespace["join"]
+
+
 # variable pattern -> _Skeleton; bounded by the distinct patterns of the
 # rules compiled in this process
 _SKELETONS: dict = {}
@@ -169,10 +236,11 @@ _SKELETONS: dict = {}
 
 class _Rule:
     """A rule's variables and constants numbered as slots of one environment
-    list (constants pre-bound), its head slots and its body predicates by
-    position.  Its join plans are those of the _Skeleton every rule of its
-    variable pattern shares, read against `preds`; the rule keeps its head
-    atoms over the BK it is compiled for, on first use."""
+    (constants at their slots, None at a variable's) and its body predicates
+    by position.  It runs the joins of the _Skeleton every rule of its
+    variable pattern shares, passing them its environment and predicates;
+    the rule keeps its head atoms over the BK it is compiled for, on first
+    use."""
 
     def __init__(self, rule: Clause):
         self.clause = rule
@@ -180,8 +248,7 @@ class _Rule:
         self.preds = tuple([atom.pred for atom in rule.body])
         slot: dict = {}
         atoms = tuple([tuple([slot.setdefault(t, len(slot)) for t in atom.args]) for atom in (rule.head, *rule.body)])
-        self.env = [None if isinstance(t, Var) else t for t in slot]
-        self.head = atoms[0]
+        self.env = tuple([None if isinstance(t, Var) else t for t in slot])
         self.body_preds = frozenset(self.preds)
         key = (atoms, tuple([s for s, v in enumerate(self.env) if v is not None]))
         skeleton = _SKELETONS.get(key)
@@ -197,38 +264,9 @@ class _Rule:
         if self.fired is None:
             out: set = set()
             rows = bk.relations.get(self.preds[0], ())
-            _join(self.skeleton.plans[0], 0, rows, list(self.env), self.preds, bk.relations, bk.index, self.head, out)
+            self.skeleton.join(0)(rows, self.env, self.preds, bk.relations, bk.index, out)
             self.fired = frozenset(map(_ground_atom, zip(itertools.repeat(self.pred), out)))
         return self.fired
-
-
-_NO_INDEX: dict = {}
-
-
-def _join(steps, k: int, rows, env: list, preds, relations, index, head, out: set):
-    """Add to `out` the head of every match of steps[k:], step k drawing its
-    argument tuples from `rows`.  A step names a body position; `preds`,
-    the rule's body predicates, names the relation it reads."""
-    _, _, binds, tests = steps[k]
-    last = k + 1 == len(steps)
-    if not last:
-        j, key, _, _ = steps[k + 1]
-        pred = preds[j]
-    for args in rows:
-        for pos, s in binds:
-            env[s] = args[pos]
-        for pos, s in tests:
-            if args[pos] != env[s]:
-                break
-        else:
-            if last:
-                out.add(tuple([env[s] for s in head]))
-            elif key is None:
-                _join(steps, k + 1, relations.get(pred, ()), env, preds, relations, index, head, out)
-            else:
-                pos, s = key
-                found = index.get(pred, _NO_INDEX).get((pos, env[s]), ())
-                _join(steps, k + 1, found, env, preds, relations, index, head, out)
 
 
 def _extend(relations, index, fresh: dict):
@@ -309,8 +347,6 @@ def _fixpoint(looped, relations, index, hb_size):
         derived: dict = {}
         for rule in looped:
             out = derived.setdefault(rule.pred, set())
-            env = list(rule.env)
-            plans = rule.skeleton.plans
             for i, pred in enumerate(rule.preds):
                 if delta is None:
                     if i:
@@ -320,7 +356,7 @@ def _fixpoint(looped, relations, index, hb_size):
                     rows = delta.get(pred)
                     if not rows:
                         continue
-                _join(plans[i], 0, rows, env, rule.preds, relations, index, rule.head, out)
+                rule.skeleton.join(i)(rows, rule.env, rule.preds, relations, index, out)
         delta = {}
         for p, rows in derived.items():
             rows -= relations[p]
@@ -352,9 +388,9 @@ def least_model(bk, clauses) -> frozenset:
 # verify answers a BK with at least this many constants by demand.  On small
 # recursive programs the rewrite costs more than the whole model saves:
 # ungated, an in-process pass over the corpus benchmark workload's KBs took
-# 1.15x the CPU and one over the enumerate workload's 2.9x.  For a recursive
-# path program over chains and random digraphs the two break even at 16-24
-# constants; the gate keeps a margin.
+# 1.2x the CPU and one over the enumerate workload's 3.0x.  For a recursive
+# path program the two break even at 16-20 constants on chains and at 20-28
+# on random digraphs of 1.5 edges per node; the gate keeps a margin.
 DEMAND_MIN_CONSTANTS = 32
 
 

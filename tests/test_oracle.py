@@ -175,8 +175,9 @@ def _rule(draw):
 UNIT = GROUND.map(lambda g: Clause(Atom(g.pred, g.args), ()))
 
 
-def _naive_model(facts, clauses) -> frozenset:
-    """Every rule over the whole model each round: no index, no delta."""
+def _nested_loop_join(rule: Clause, atoms) -> set:
+    """The head argument tuples of every match of the rule's body in the
+    ground atoms: one loop per body atom, in body order, over every atom."""
 
     def match(atom, args, subst):
         out = dict(subst)
@@ -188,17 +189,19 @@ def _naive_model(facts, clauses) -> frozenset:
                 return None
         return out
 
+    substs = [{}]
+    for atom in rule.body:
+        substs = [ext for s in substs for f in atoms if f.pred == atom.pred
+                  for ext in [match(atom, f.args, s)] if ext is not None]
+    return {tuple(s[t.code] if isinstance(t, Var) else t for t in rule.head.args) for s in substs}
+
+
+def _naive_model(facts, clauses) -> frozenset:
+    """Every rule over the whole model each round: no index, no delta."""
     model = set(facts) | {GroundAtom(c.head.pred, c.head.args) for c in clauses if not c.body}
     while True:
-        new = set()
-        for rule in (c for c in clauses if c.body):
-            substs = [{}]
-            for atom in rule.body:
-                substs = [ext for s in substs for f in model if f.pred == atom.pred
-                          for ext in [match(atom, f.args, s)] if ext is not None]
-            for s in substs:
-                args = tuple(s[t.code] if isinstance(t, Var) else t for t in rule.head.args)
-                new.add(GroundAtom(rule.head.pred, args))
+        new = {GroundAtom(rule.head.pred, args) for rule in clauses if rule.body
+               for args in _nested_loop_join(rule, model)}
         if new <= model:
             return frozenset(model)
         model |= new
@@ -375,9 +378,15 @@ def test_rule_flat_in_one_program_reads_derived_in_the_next():
 
 
 def test_flat_rule_joins_the_bk_once_per_compiled_bk(monkeypatch):
+    """Counts runs of the skeletons' generated joins."""
     joins = []
-    real = oracle._join
-    monkeypatch.setattr(oracle, "_join", lambda *args: joins.append(1) or real(*args))
+    real = oracle._Skeleton.join
+
+    def counted(skeleton, first):
+        join = real(skeleton, first)
+        return lambda *args: joins.append(1) or join(*args)
+
+    monkeypatch.setattr(oracle._Skeleton, "join", counted)
     kb = parse_kb(COLLISION)
     clauses = parse_hypothesis("p(X) :- p1(X,Y), qj(Z,Y).\n", kb.symbols)
     bk = Bk(kb.facts)
@@ -431,6 +440,42 @@ def test_rule_not_range_restricted_raises_in_every_bk_after_its_pattern_is_cache
             least_model(Bk(facts), [clause])
     assert oracle._Rule(bad).skeleton is oracle._Rule(twin).skeleton
     assert not oracle._Rule(twin).skeleton.range_restricted
+    assert oracle._Rule(twin).skeleton.joins == [None]
+
+
+# up to five body atoms, as a walk clause at the largest cap plus a magic
+# guard has, over enough variables that an atom may share none; and BKs that
+# hold each ground atom over the body's constants at even odds, dense enough
+# for a long body to match
+JOIN_CONSTANTS = range(3)
+JOIN_BODY = st.lists(_atoms(st.one_of(st.builds(Var, st.integers(0, 4)), st.sampled_from(JOIN_CONSTANTS))),
+                     min_size=1, max_size=5).map(tuple)
+DENSE = [GroundAtom(p, args) for p in sorted(ARITY) for args in itertools.product(JOIN_CONSTANTS, repeat=ARITY[p])]
+DENSE_BK = st.lists(st.booleans(), min_size=len(DENSE), max_size=len(DENSE)).map(
+    lambda picks: Bk(itertools.compress(DENSE, picks)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_generated_joins_match_a_nested_loop_join(data):
+    """Every generated join of a rule, fed the whole relation of the body
+    atom it starts from, adds the head tuples of a nested-loop join.  A twin
+    with other predicates and constants shares the rule's variable pattern,
+    so it gets the same functions, and its own tuples over its own BK."""
+    body = data.draw(JOIN_BODY)
+    rule = Clause(_head(data.draw, data.draw(st.sampled_from(sorted(ARITY))), body), body)
+    twin = _relabelled(rule, {0: 1, 1: 3, 3: 0, 2: 2}, {0: 1, 1: 2, 2: 0, 3: 3})
+    for clause in (rule, twin):
+        bk = data.draw(DENSE_BK)
+        compiled = oracle._Rule(clause)
+        want = _nested_loop_join(clause, bk.atoms)
+        for first, pred in enumerate(compiled.preds):
+            out = set()
+            join = compiled.skeleton.join(first)
+            join(bk.relations.get(pred, ()), compiled.env, compiled.preds, bk.relations, bk.index, out)
+            assert out == want
+    skeletons = [oracle._Rule(clause).skeleton for clause in (rule, twin)]
+    assert all(skeletons[0].join(i) is skeletons[1].join(i) for i in range(len(body)))
 
 
 # q(X, Y) :- p(X) leaves Y unbound; the unit q(X, a) is not ground
