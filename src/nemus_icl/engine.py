@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from .kb import Atom, Clause, GroundAtom, LearnTask, Var, atom_vars, render_clause, render_ground_atom
 # atom_of is unused here; perfbench/tracer.py wraps it by the name engine.atom_of
 from .nemus import SharedNeMuS, atom_of, beta, region_similarity
-from .oracle import Verdict, verify
+from .oracle import VERIFIED, Verdict, verify
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -254,20 +254,35 @@ class _Walk:
 
     def verdict(self, clauses, positives, negatives) -> Verdict:
         """The oracle's verdict on the clause set; the walk meets many sets
-        more than once, so it is memoised."""
+        more than once, so it is memoised.  With no example to ask about,
+        the set is verified without a call."""
+        if not positives and not negatives:
+            return VERIFIED
         key = (self.set_key(clauses), positives, negatives)
         verdict = self.verdicts.get(key)
         if verdict is None:
             verdict = self.verdicts[key] = verify(self.nemus.bk, clauses, positives, negatives)
         return verdict
 
-    def judge(self, clauses, shown: Clause, example: GroundAtom, negatives, phase=1) -> Optional[tuple]:
+    def judge(self, clauses, shown: Clause, example: GroundAtom, negatives, phase=1,
+              guessed=False) -> Optional[tuple]:
         """The set with the bias definitions it reads, without repeats, when
-        the oracle verifies it on the example against the negatives; None
-        when it fails, which is counted and recorded.  Either way the shown
-        clause goes to the trace as verified or dropped."""
+        it derives the example and no negative; None when it fails, which is
+        counted and recorded.  Either way the shown clause goes to the trace
+        as verified or dropped.
+
+        The oracle is asked only what can fail.  A set the walk built
+        derives the example by construction: under theta the body of each
+        clause it closed grounds to the facts the walk stepped on, or to
+        atoms the attached bias definitions derive from them, and an
+        invention sub-set was judged to derive its bridge atom.  By
+        monotonicity of the least model the set derives the example, so
+        only a negative can fail it, and the first failing example is the
+        one a full verify names.  A guessed set, the recursion close whose
+        base clause puts Y in place of the chain tip, is asked about the
+        example too."""
         full = tuple(dict.fromkeys(self.attach_defs(clauses)))
-        verdict = self.verdict(full, (example,), negatives)
+        verdict = self.verdict(full, (example,) if guessed else (), negatives)
         if not verdict.ok:
             self.stats.dropped += 1
             self.rejected.append((full, verdict.failed))
@@ -284,6 +299,8 @@ class _Walk:
         they read, directly or through another definition, in bias order.  A
         bias's sources name only earlier biases, so one backward pass closes
         the set."""
+        if not self.task.biases:  # nothing to attach: spare every judged set the predicate scan
+            return tuple(clauses)
         used = _clause_preds(clauses)
         reached = []
         for bias in reversed(self.task.biases):
@@ -320,8 +337,8 @@ class _Walk:
             pairs=_lockstep({}, e_pos, negatives),
         )
 
-        def record(clauses, shown: Clause):
-            full = self.judge(clauses, shown, e_pos, negatives)
+        def record(clauses, shown: Clause, guessed=False):
+            full = self.judge(clauses, shown, e_pos, negatives, guessed=guessed)
             if full is not None and (key := self.set_key(full)) not in seen:
                 seen.add(key)
                 yield full
@@ -370,7 +387,7 @@ class _Walk:
                     if recursion is not None:
                         emitted_here = True
                         self.emit_trace(hook, cand, verdict, "recurse")
-                        yield from record(recursion, recursion[1])
+                        yield from record(recursion, recursion[1], guessed=True)
                     if closes or recursion is not None:
                         continue
 
@@ -490,13 +507,14 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
     uncovered = len(nonempty) < len(per_example)
     hypotheses: dict = {}
     if nonempty:
-        # one choice per example, union.  Each set was verified against its
-        # own positive and every negative.  When no set reads a predicate
-        # that a clause of the union outside it derives, the splitting-set
-        # theorem makes the union's least model the union of its sets'
-        # models: it derives every covered positive and no negative.  So it
-        # is re-verified only when a positive has no set, or when the task
-        # has negatives and one set reads what another derives.
+        # one choice per example, union.  Each set derives its own positive,
+        # by construction or by the oracle, and no negative.  When no set
+        # reads a predicate that a clause of the union outside it derives,
+        # the splitting-set theorem makes the union's least model the union
+        # of its sets' models: it derives every covered positive and no
+        # negative.  So it is re-verified only when a positive has no set,
+        # or when the task has negatives and one set reads what another
+        # derives.
         for combo in product(*nonempty):
             merged = tuple(dict.fromkeys(chain.from_iterable(combo)))
             if uncovered or (task.negatives and _reads_another(combo, merged)):
@@ -508,12 +526,16 @@ def learn(nemus: SharedNeMuS, task: LearnTask, *, trace=None, include_pruned: bo
             hypotheses.setdefault(walk.set_key(merged), merged)
 
     # a hypothesis predicate with no facts that is not the target was invented,
-    # by a bias or by the walk
-    bk_preds = nemus.bk.relations
+    # by a bias or by the walk.  Every hypothesis is a union of per-example
+    # sets, so the scan stops once it has met every such predicate of theirs
+    outside = set().union(*(_clause_preds(clauses) for sets in nonempty for clauses in sets))
+    outside -= nemus.bk.relations.keys() | {task.target}
     invented = []
     for clauses in hypotheses.values():
+        if len(invented) == len(outside):
+            break
         for p in sorted(_clause_preds(clauses)):
-            if p not in bk_preds and p != task.target and p not in invented:
+            if p in outside and p not in invented:
                 invented.append(p)
 
     return LearnResult(

@@ -86,6 +86,19 @@ def multi_positive_kb(seed: int, n_positives: int, unsupported: bool, max_body: 
     return "\n".join(lines) + "\n"
 
 
+def dense_kb() -> str:
+    """A dense binary KB: 200 distinct facts over 4 predicates and 25
+    constants, about 16 per constant, so the walk branches widely; target
+    tgt/2 with the one positive tgt(c0, c1), no negatives and no body cap of
+    its own.  At max_body 3 learn emits 1,248 sets, 1,143 of them through an
+    invented predicate."""
+    rng = random.Random(7)
+    facts = set()
+    while len(facts) < 200:
+        facts.add((f"p{rng.randrange(4)}", (f"c{rng.randrange(25)}", f"c{rng.randrange(25)}")))
+    return "\n".join(_fact_lines(sorted(facts)) + ["#target tgt/2.", "#positive tgt(c0, c1)."]) + "\n"
+
+
 CORPUS_SIZE = 500
 
 # the corpus seeds whose walk at max_body 4, main or invention sub-walk,

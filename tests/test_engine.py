@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from capture import learned_at_cap4, learned_corpus
 from conftest import BRIDGE, COLLISION, FAMILY, FAMILY_SOLUTION, assert_defines_what_it_reads, render_set
-from corpus import BASE_RENUMBER_SEEDS, CORPUS_SIZE, multi_positive_kb, random_kb
+from corpus import BASE_RENUMBER_SEEDS, CORPUS_SIZE, dense_kb, multi_positive_kb, random_kb
 from nemus_icl import engine, oracle
 from nemus_icl import (
     Atom,
@@ -37,6 +37,7 @@ from nemus_icl import (
     try_recursion,
     verify,
 )
+from nemus_icl.oracle import VERIFIED, Verdict
 
 sys.path.append(str(Path(__file__).parents[1] / "perfbench"))
 from workloads import CHAIN_SIZES, GRID_SIZES, chain_kb, grid_kb  # noqa: E402  (the graphs benchmark's KBs)
@@ -415,11 +416,14 @@ def test_a_prefix_of_the_walk_stream_makes_only_the_verify_calls_it_needed(monke
     KB's first positive and for every k; each set is yielded right after the
     verify call that accepted it.  islice(stream, k) makes exactly k next
     calls, so the count at each yield is what a read of the first k sets
-    makes; a second, fresh read checks that a restarted walk repeats it."""
+    makes; a second, fresh read checks that a restarted walk repeats it.  A
+    set built from facts in a task without negatives needs no call at all,
+    so a set follows a call only when one was made for it."""
     calls = []
     real = engine.verify
     monkeypatch.setattr(engine, "verify",
                         lambda bk, clauses, *examples: calls.append(clauses) or real(bk, clauses, *examples))
+    called_sets = 0
     for seed in range(CORPUS_SIZE):
         kb = parse_kb(random_kb(seed))
         nemus = compile_kb(kb)
@@ -429,16 +433,19 @@ def test_a_prefix_of_the_walk_stream_makes_only_the_verify_calls_it_needed(monke
             walk = engine._Walk(nemus, kb.task, None, False)
             return walk.learn_positive(kb.task.positives[0], kb.task.target, kb.task.negatives)
 
-        at_set = []
+        at_set, called = [], []
         for clauses in stream():
-            assert calls[-1] == clauses, seed
+            called.append(clauses in calls[at_set[-1] if at_set else 0:])
+            assert not called[-1] or calls[-1] == clauses, seed
             at_set.append(len(calls))
-        if seed == 347:
-            assert (at_set[0], len(calls)) == (1, 320)
+        if seed == 347:  # unary, no negatives: 320 sets, every one built from facts
+            assert (len(at_set), at_set[0], len(calls)) == (320, 0, 0)
         total, k = len(calls), 0
         for k, clauses in enumerate(stream(), 1):
-            assert calls[-1] == clauses and len(calls) == at_set[k - 1], (seed, k)
+            assert len(calls) == at_set[k - 1] and (not called[k - 1] or calls[-1] == clauses), (seed, k)
         assert (k, len(calls)) == (len(at_set), total), seed
+        called_sets += sum(called)
+    assert called_sets > 0
 
 
 @pytest.mark.parametrize("text", [
@@ -451,14 +458,17 @@ def test_merge_of_sets_that_read_nothing_another_derives_makes_no_verify_call(mo
     """Every positive has a set and no set reads a predicate that another set
     derives, so each union's model is the union of its sets' models: it
     derives every positive and no negative, and the merge makes no verify
-    call of its own, even for a union larger than each of its sets."""
+    call of its own, even for a union larger than each of its sets.  The
+    walk's own sets are built from facts, so they are asked about the
+    negatives only, and without negatives no call is made at all."""
     kb = parse_kb(text)
     calls = []
     real = engine.verify
     monkeypatch.setattr(engine, "verify",
                         lambda bk, clauses, pos, neg: calls.append(pos) or real(bk, clauses, pos, neg))
     result = learn(compile_kb(kb), kb.task)
-    assert calls and all(len(positives) == 1 for positives in calls)
+    assert bool(calls) == bool(kb.task.negatives)
+    assert all(len(positives) <= 1 for positives in calls)
     shown = [render_set(h, kb.symbols) for h in result.hypotheses]
     assert {"t(X,Y) :- f(X,Y).", "t(X,Y) :- g(X,Y)."} in shown  # a union larger than its sets
     for clauses in result.hypotheses:
@@ -501,6 +511,74 @@ def test_merge_rechecks_only_a_union_in_which_a_set_reads_what_another_derives(m
     assert [render_set(h, kb.symbols) for h in result.hypotheses] == [
         defs | {"t(X,Y) :- q(X,Z0), q(Z0,Y)."}, defs | {"t(X,Y) :- q(X,Z0), t(Z0,Y)."}
     ]
+
+
+def _judged_kbs(population: str):
+    """(KB text, body cap) pairs: every corpus seed at caps 2 and 3 and every
+    fifth at cap 4 too; the graphs benchmark's chains and grids at caps 2
+    and 3; the dense KB at cap 3."""
+    if population == "corpus":
+        for seed in range(CORPUS_SIZE):
+            yield from ((random_kb(seed), cap) for cap in ((2, 3, 4) if seed % 5 == 0 else (2, 3)))
+    elif population == "graphs":
+        for kb in [*map(chain_kb, CHAIN_SIZES), *map(grid_kb, GRID_SIZES)]:
+            yield from ((kb.text(), cap) for cap in (2, 3))
+    else:
+        yield dense_kb(), 3
+
+
+@pytest.mark.parametrize("population", ["corpus", "graphs", "dense"])
+def test_a_set_built_from_facts_gets_the_verdict_of_a_full_verify(monkeypatch, population):
+    """The walk judges a set it built from facts against the negatives only:
+    the set derives its positive by construction.  Full verify on the
+    positive and the negatives must accept or drop every such set alike and
+    name the same failing example."""
+    real = engine._Walk.judge
+    full_verdicts = {}
+    mismatches, judged = [], []
+
+    def judge(walk, clauses, shown, example, negatives, phase=1, guessed=False):
+        full = real(walk, clauses, shown, example, negatives, phase, guessed)
+        if not guessed:
+            got, clauses = (VERIFIED, full) if full is not None else (Verdict(False, walk.rejected[-1][1]),
+                                                                      walk.rejected[-1][0])
+            key = (frozenset(clauses), example, negatives)
+            if key not in full_verdicts:
+                full_verdicts[key] = verify(walk.nemus.bk, clauses, (example,), negatives)
+            judged.append(got.ok)
+            if got != full_verdicts[key]:
+                mismatches.append((render_set(clauses, walk.sym), got, full_verdicts[key]))
+        return full
+
+    monkeypatch.setattr(engine._Walk, "judge", judge)
+    for text, cap in _judged_kbs(population):
+        kb = parse_kb(text)
+        full_verdicts.clear()
+        learn(compile_kb(kb), replace(kb.task, max_body=cap))
+        assert mismatches == [], (text, cap)
+    # accepted and dropped: 144,179 and 50,346 on the corpus, 16 and 72 on
+    # the graphs, 2,181 and none on the dense KB, which has no negatives
+    assert True in judged and (False in judged) == (population != "dense")
+
+
+@pytest.mark.parametrize("invent", [False, True], ids=["plain", "invent"])
+def test_the_invented_list_equals_a_full_scan_of_the_hypotheses(invent):
+    """learn stops scanning the hypotheses for invented predicates once it
+    has met every one of the per-example sets; the list and its order are
+    those a scan of every hypothesis gives."""
+    several = 0
+    for seed in range(200):
+        kb = parse_kb(multi_positive_kb(seed, 2 + seed % 2, False, invent=invent))
+        nemus = compile_kb(kb)
+        result = learn(nemus, kb.task)
+        invented = []
+        for clauses in result.hypotheses:
+            for p in sorted(engine._clause_preds(clauses)):
+                if p not in nemus.bk.relations and p != kb.task.target and p not in invented:
+                    invented.append(p)
+        assert result.invented == tuple(invented), seed
+        several += len(invented) > 1
+    assert several > 0
 
 
 def test_learn_walks_a_repeated_positive_once():
