@@ -76,24 +76,21 @@ class _Interner:
 
 
 class SymbolTable:
-    """Bijective name<->code registries for constants, predicates and variables.
+    """Bijective name<->code registries for constants and predicates.
 
     Predicate identity includes arity: p/1 and p/2 intern to distinct codes.
+    Variables are not registered here: each parse numbers its own.
     """
 
     def __init__(self):
         self._constants = _Interner()
         self._predicates = _Interner()  # keyed by (name, arity)
-        self._variables = _Interner()
 
     def intern_constant(self, name: str) -> int:
         return self._constants.add(name)
 
     def intern_predicate(self, name: str, arity: int) -> int:
         return self._predicates.add((name, arity))
-
-    def intern_variable(self, name: str) -> int:
-        return self._variables.add(name)
 
     def constant_code(self, name: str) -> Optional[int]:
         return self._constants.get(name)
@@ -288,6 +285,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.symbols = symbols if symbols is not None else SymbolTable()
+        self.variables: dict = {}  # name -> code, in order of first occurrence
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -364,7 +362,7 @@ class _Parser:
         if a.kind == "name":
             return self.symbols.intern_constant(a.value)
         if a.kind == "var":
-            return Var(self.symbols.intern_variable(a.value))
+            return Var(self.variables.setdefault(a.value, len(self.variables)))
         raise ParseError(f"expected a term, found {self._show(a)}", a.line, a.col)
 
     def ground_term(self) -> int:

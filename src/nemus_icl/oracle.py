@@ -13,17 +13,20 @@ Turner, ICLP 1994), so it fires once per compiled BK and keeps its head
 atoms.  Only the rules that read a derived predicate enter semi-naive
 evaluation (Bancilhon & Ramakrishnan 1986), whose joins fetch each atom after
 the delta atom through the index, as in Souffle (Jordan et al., CAV 2016).
-Join plans and the range-restriction check depend only on a rule's variable
-pattern, so they are compiled once per pattern and shared by every rule of
-that pattern, over every BK.  The plan from each body position is generated,
-the first time it runs, as a Python function of nested for loops over local
-variables, as Souffle generates C++ for its relational plans (Scholz et al.,
-CC 2016).  A plan names body positions, slots and argument positions only;
-the function takes the rule's body predicates and constants as arguments, so
-no predicate or constant enters the generated source.  Range restriction is
-decided once per kind of clause: by the pattern for a rule, by groundness for
-a unit.  A Bk keeps each clause it has compiled, a rule's _Rule or a ground
-unit's atom, so a clause that recurs over one BK is compiled once.
+Every clause compiles to one _Rule; a ground unit is a rule with an empty
+body, flat by definition, whose one head atom is its consequence.  A clause's
+pattern numbers its terms as slots by first occurrence; with its predicates
+it is the clause's key up to variable renaming (clause_key).  Join plans and
+the range-restriction check depend only on the pattern, so they are compiled
+once per pattern and shared by every rule of that pattern, over every BK;
+the check accepts a unit only when it is ground.  The plan from each body
+position is generated, the first time it runs, as a Python function of
+nested for loops over local variables, as Souffle generates C++ for its
+relational plans (Scholz et al., CC 2016).  A plan names body positions,
+slots and argument positions only; the function takes the rule's body
+predicates and constants as arguments, so no predicate or constant enters
+the generated source.  A Bk keeps the _Rule of each clause it has compiled,
+so a clause that recurs over one BK is compiled once.
 
 The examples are ground, so a verdict needs only the atoms they demand.  On a
 BK with at least DEMAND_MIN_CONSTANTS constants, verify replaces the looped
@@ -48,7 +51,7 @@ import functools
 import itertools
 from typing import Iterator, NamedTuple, Optional
 
-from .kb import Atom, Clause, GroundAtom, Var, atom_vars, is_ground
+from .kb import Atom, Clause, GroundAtom, Var, atom_vars
 
 
 class RangeRestrictionFault(Exception):
@@ -62,9 +65,8 @@ class Bk:
     join index ((position, constant) -> argument tuples), and the constants
     and arities that feed the Herbrand-base bound.  The facts are never
     written after construction: a fixpoint copies the relations it derives
-    into.  Clauses are compiled on first use and kept for the next call: a
-    rule as its _Rule, with the head atoms of the rule fired over the BK
-    alone, and a ground unit as its GroundAtom.
+    into.  Clauses are compiled on first use and kept for the next call,
+    each as its _Rule with the head atoms it fires over the BK alone.
     """
 
     def __init__(self, facts):
@@ -78,25 +80,19 @@ class Bk:
         _extend(self.relations, self.index, self.relations)  # indexes every fact
         self.constants = frozenset(c for rows in self.relations.values() for args in rows for c in args)
         self.atoms = frozenset(GroundAtom(p, args) for p, rows in self.relations.items() for args in rows)
-        self._rules: dict = {}  # Clause -> _Rule, or GroundAtom for a ground unit
+        self._rules: dict = {}  # Clause -> _Rule
 
-    def compiled(self, clause: Clause):
-        """The _Rule of a rule or the GroundAtom of a ground unit; range
-        restriction is checked on first use, a rule's by its skeleton and a
-        unit's by being ground.  A faulty clause is never kept, so it raises
-        on every call."""
-        compiled = self._rules.get(clause)
-        if compiled is None:
-            if clause.body:
-                compiled = _Rule(clause)
-                if not compiled.skeleton.range_restricted:
-                    raise RangeRestrictionFault(clause)
-            elif is_ground(clause.head):
-                compiled = GroundAtom(*clause.head)
-            else:
+    def compiled(self, clause: Clause) -> _Rule:
+        """The clause's _Rule, a ground unit's with an empty body; range
+        restriction is checked by the rule's skeleton on first use.  A faulty
+        clause is never kept, so it raises on every call."""
+        rule = self._rules.get(clause)
+        if rule is None:
+            rule = _Rule(clause)
+            if not rule.skeleton.range_restricted:
                 raise RangeRestrictionFault(clause)
-            self._rules[clause] = compiled
-        return compiled
+            self._rules[clause] = rule
+        return rule
 
 
 def _compiled(bk) -> Bk:
@@ -125,14 +121,39 @@ def _range_restricted(head, body) -> bool:
 _ground_atom = functools.partial(tuple.__new__, GroundAtom)
 
 
+def clause_key(clause: Clause) -> tuple:
+    """The clause up to variable renaming: its predicates, head first, its
+    pattern, and a (slot, constant) pair per constant.  The pattern numbers
+    the clause's terms as slots by first occurrence and holds each atom's
+    slot tuple; a _Rule is compiled from this key.  Two clauses get the same
+    key exactly when they are alphabetic variants (Plotkin 1970), which is
+    exactly when render_clause gives them the same text."""
+    slot: dict = {}
+    preds, pattern, constants = [], [], []
+    # plain loops: the enumerator keys every ordering of every body, and
+    # nested comprehensions took 1.6x as long per key on Python 3.11
+    for atom in (clause.head, *clause.body):
+        preds.append(atom.pred)
+        args = []
+        for t in atom.args:
+            s = slot.get(t)
+            if s is None:
+                s = slot[t] = len(slot)
+                if not isinstance(t, Var):
+                    constants.append((s, t))
+            args.append(s)
+        pattern.append(tuple(args))
+    return tuple(preds), tuple(pattern), tuple(constants)
+
+
 class _Skeleton:
     """What every rule with one variable pattern shares: its range
-    restriction and its generated joins, one per body position.  The pattern
-    is each atom's slot tuple, head first, with slots numbered by first
-    occurrence, plus the slots that hold constants.  A join is generated the
+    restriction and its generated joins, one per body position.  The
+    variable pattern is the pattern of clause_key, each atom's slot tuple,
+    head first, plus the slots that hold constants.  A join is generated the
     first time it runs, so a flat rule, which only ever joins from its first
     body atom, generates one, and a rule that is not range-restricted, which
-    never runs, generates none."""
+    never runs, generates none; nor does a ground unit, which has no body."""
 
     def __init__(self, atoms: tuple, constant_slots: tuple):
         self.atoms = atoms
@@ -235,22 +256,19 @@ _SKELETONS: dict = {}
 
 
 class _Rule:
-    """A rule's variables and constants numbered as slots of one environment
-    (constants at their slots, None at a variable's) and its body predicates
-    by position.  It runs the joins of the _Skeleton every rule of its
-    variable pattern shares, passing them its environment and predicates;
-    the rule keeps its head atoms over the BK it is compiled for, on first
-    use."""
+    """A clause compiled: its constants by slot (the environment), its body
+    predicates by position, and the _Skeleton every clause of its pattern
+    shares, whose joins it runs with its environment and predicates.  A
+    ground unit is a rule with an empty body.  The rule keeps its head atoms
+    over the BK it is compiled for, on first use."""
 
     def __init__(self, rule: Clause):
         self.clause = rule
-        self.pred = rule.head.pred
-        self.preds = tuple([atom.pred for atom in rule.body])
-        slot: dict = {}
-        atoms = tuple([tuple([slot.setdefault(t, len(slot)) for t in atom.args]) for atom in (rule.head, *rule.body)])
-        self.env = tuple([None if isinstance(t, Var) else t for t in slot])
+        preds, pattern, constants = clause_key(rule)
+        self.pred, self.preds = preds[0], preds[1:]
+        self.env = dict(constants)
         self.body_preds = frozenset(self.preds)
-        key = (atoms, tuple([s for s, v in enumerate(self.env) if v is not None]))
+        key = (pattern, tuple(self.env))
         skeleton = _SKELETONS.get(key)
         if skeleton is None:
             skeleton = _SKELETONS[key] = _Skeleton(*key)
@@ -262,9 +280,12 @@ class _Rule:
         to a program that derives none of its body predicates.  A _Rule
         belongs to one Bk, and so does this cache."""
         if self.fired is None:
-            out: set = set()
-            rows = bk.relations.get(self.preds[0], ())
-            self.skeleton.join(0)(rows, self.env, self.preds, bk.relations, bk.index, out)
+            if self.preds:
+                out: set = set()
+                rows = bk.relations.get(self.preds[0], ())
+                self.skeleton.join(0)(rows, self.env, self.preds, bk.relations, bk.index, out)
+            else:  # a ground unit
+                out = {self.clause.head.args}
             self.fired = frozenset(map(_ground_atom, zip(itertools.repeat(self.pred), out)))
         return self.fired
 
@@ -280,24 +301,21 @@ def _extend(relations, index, fresh: dict):
 
 
 def _split(bk: Bk, clauses) -> tuple:
-    """(rules, units, derived predicates, flat atoms, looped rules) of a
-    program over the compiled BK.  The clauses are compiled in program order,
-    so a RangeRestrictionFault names the first offending clause.  A flat
-    rule, whose body reads no predicate that a rule or ground unit of the
-    program derives, contributes its kept matches over the BK; only the
-    looped rules need a fixpoint."""
-    rules, units, derived_preds = [], [], set()
-    for clause in clauses:
-        compiled = bk.compiled(clause)
-        (units if isinstance(compiled, GroundAtom) else rules).append(compiled)
-        derived_preds.add(compiled.pred)
+    """(rules, derived predicates, flat atoms, looped rules) of a program
+    over the compiled BK.  The clauses are compiled in program order, so a
+    RangeRestrictionFault names the first offending clause.  A flat rule,
+    whose body reads no predicate that the program derives, contributes its
+    kept matches over the BK, a ground unit its head; only the looped rules
+    need a fixpoint."""
+    rules = [bk.compiled(clause) for clause in clauses]
+    derived_preds = {rule.pred for rule in rules}
     fired, looped = [], []
     for rule in rules:
         if rule.body_preds.isdisjoint(derived_preds):
             fired.append(rule.bk_consequences(bk))
         else:
             looped.append(rule)
-    return rules, units, derived_preds, fired, looped
+    return rules, derived_preds, fired, looped
 
 
 def _hb_size(bk: Bk, atoms) -> int:
@@ -371,17 +389,17 @@ def least_model(bk, clauses) -> frozenset:
     """Least fixpoint of the immediate-consequence step over the compiled BK.
 
     bk is a compiled Bk or an iterable of facts.  Every head variable of a
-    rule must occur in its body; ground unit clauses count as facts.  The
-    flat rules add their kept matches over the BK.  Only the looped rules
-    run the semi-naive loop with indexed joins, seeded with the units and the
-    flat rules' atoms; without them no fixpoint runs."""
+    rule must occur in its body, so a unit clause is ground and counts as a
+    fact.  The flat rules, the units among them, add their kept atoms.  Only
+    the looped rules run the semi-naive loop with indexed joins, seeded with
+    the flat rules' atoms; without them no fixpoint runs."""
     bk = _compiled(bk)
-    rules, units, derived_preds, fired, looped = _split(bk, clauses)
+    rules, derived_preds, fired, looped = _split(bk, clauses)
     if not looped:
-        return bk.atoms.union(units, *fired)
-    relations, index = _seeded(bk, derived_preds, itertools.chain(units, *fired))
-    _fixpoint(looped, relations, index, lambda: _hb_size(bk, itertools.chain(
-        units, *((rule.clause.head, *rule.clause.body) for rule in rules))))
+        return bk.atoms.union(*fired)
+    relations, index = _seeded(bk, derived_preds, itertools.chain(*fired))
+    _fixpoint(looped, relations, index, lambda: _hb_size(bk, itertools.chain.from_iterable(
+        (rule.clause.head, *rule.clause.body) for rule in rules)))
     return bk.atoms.union(*(map(_ground_atom, zip(itertools.repeat(p), relations[p])) for p in derived_preds))
 
 
@@ -479,30 +497,6 @@ class EnumCaps(NamedTuple):
     max_body: int = 2
     max_clauses: int = 2
     max_vars: int = 4
-
-
-def _normalize(atoms) -> tuple:
-    """Rename variables in first-use order; the renaming-invariant shape."""
-    names: dict = {}
-    shape = []
-    for atom in atoms:
-        terms = []
-        for t in atom.args:
-            if isinstance(t, Var):
-                if t.code not in names:
-                    names[t.code] = len(names)
-                terms.append(("v", names[t.code]))
-            else:
-                terms.append(("c", t))
-        shape.append((atom.pred, tuple(terms)))
-    return tuple(shape)
-
-
-def clause_key(clause: Clause) -> tuple:
-    """The clause up to variable renaming.  Two clauses get the same key
-    exactly when they are alphabetic variants (Plotkin 1970), which is
-    exactly when render_clause gives them the same text."""
-    return _normalize((clause.head, *clause.body))
 
 
 def _connected(head, body) -> bool:
@@ -609,7 +603,7 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
         for body in itertools.combinations_with_replacement(atoms, size):
             if not (_range_restricted(head, body) and _connected(head, body)):
                 continue
-            canon = min(_normalize([head] + list(p)) for p in itertools.permutations(body))
+            canon = min(clause_key(Clause(head, p)) for p in itertools.permutations(body))
             if canon in seen:
                 continue
             seen.add(canon)
@@ -636,8 +630,7 @@ def enumerate_hypotheses(bk, task, caps: EnumCaps, symbols) -> Iterator:
             mask = base_mask
             for i in picked:
                 if masks[i] < 0:
-                    c = pool[i]
-                    atoms = base.compiled(c).bk_consequences(base) if c.body else {GroundAtom(*c.head)}
+                    atoms = base.compiled(pool[i]).bk_consequences(base)
                     masks[i] = covered(atoms, bool(atoms))
                 mask |= masks[i]
             if mask & fixpoint == fixpoint:

@@ -62,6 +62,18 @@ def test_learn_text_output(family_path):
     assert any(l.startswith("stats: candidates=") for l in lines)
 
 
+def test_readme_quick_start_transcript_matches_learn(tmp_path):
+    """The README's family.kb block, learned, prints the README's transcript
+    byte for byte."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    kb = readme.split("`family.kb`:\n\n```prolog\n", 1)[1].split("```", 1)[0]
+    transcript = readme.split("```text\n$ nemus-icl learn family.kb\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "family.kb"
+    path.write_text(kb)
+    proc = run_cli("learn", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, transcript, "")
+
+
 def test_learn_json_schema(family_path):
     proc = run_cli("learn", family_path, "--json")
     assert proc.returncode == 0

@@ -227,6 +227,9 @@ def test_parse_hypothesis_file():
     # renders back to the same text
     assert render_clause(clauses[1].head, clauses[1].body, kb.symbols) \
         == "ancestor(X,Y) :- parent(X,Z0), ancestor(Z0,Y)."
+    # variables are clause-local: each parse numbers its own in first-use order
+    (again,) = parse_hypothesis("parent(Y,W) :- mother(Y,W).\n", kb.symbols)
+    assert again == Clause(Atom(3, (Var(0), Var(1))), (Atom(1, (Var(0), Var(1))),))
 
 
 @given(st.integers(0, 499))

@@ -366,7 +366,7 @@ def test_verify_below_the_gate_builds_the_whole_model():
 def test_rule_flat_in_one_program_reads_derived_in_the_next():
     kb = parse_kb("q(b).\nr(c).\n#target t/1.\n#positive t(b).\n")
     t, q = kb.task.target, kb.symbols.predicate_code("q", 1)
-    a, b, c = (kb.symbols.constant_code(name) for name in "abc")
+    a, b, c = (kb.symbols.intern_constant(name) for name in "abc")
     rules = parse_hypothesis("t(X) :- q(X).\nq(X) :- r(X).\n", kb.symbols)
     unit = Clause(Atom(q, (a,)), ())
     bk = Bk(kb.facts)
@@ -375,6 +375,11 @@ def test_rule_flat_in_one_program_reads_derived_in_the_next():
     assert derived([rules[0], unit]) == {GroundAtom(q, (a,)), GroundAtom(t, (a,)), GroundAtom(t, (b,))}
     assert derived(rules) == {GroundAtom(q, (c,)), GroundAtom(t, (b,)), GroundAtom(t, (c,))}
     assert derived(rules[:1]) == {GroundAtom(t, (b,))}
+    # every clause compiles to a _Rule; the unit's has no body and fires its head
+    assert list(bk._rules) == [rules[0], unit, rules[1]]
+    assert all(isinstance(rule, oracle._Rule) for rule in bk._rules.values())
+    assert (bk.compiled(unit).preds, bk.compiled(unit).skeleton.joins) == ((), [])
+    assert bk.compiled(unit).bk_consequences(bk) == {GroundAtom(q, (a,))}
 
 
 def test_flat_rule_joins_the_bk_once_per_compiled_bk(monkeypatch):
@@ -426,8 +431,7 @@ def test_rules_sharing_a_variable_pattern_over_two_bks_match_naive_fixpoint(data
         assert least_model(bk, program) == expected
         assert verify(bk, program, positives, negatives) == _naive_verdict(expected, positives, negatives)
     for clause, twin in zip(clauses, relabelled):
-        if clause.body:
-            assert oracle._Rule(clause).skeleton is oracle._Rule(twin).skeleton
+        assert oracle._Rule(clause).skeleton is oracle._Rule(twin).skeleton
 
 
 def test_rule_not_range_restricted_raises_in_every_bk_after_its_pattern_is_cached():
@@ -492,9 +496,9 @@ SOUND_RULE = Clause(Atom(1, (Var(0), Var(0))), (Atom(0, (Var(0),)),))
     ([SOUND_RULE, LOOSE_UNIT, LOOSE_RULE], LOOSE_UNIT),
 ], ids=["rule", "unit", "rule-then-unit", "unit-then-rule"])
 def test_range_restriction_fault_names_the_first_offending_clause(monkeypatch, gate, program, first):
-    """A rule by its pattern and a unit by being ground, checked once, in
-    program order, by least_model and by verify on both sides of the demand
-    gate."""
+    """Every clause by its pattern, which accepts a unit only when it is
+    ground, checked once, in program order, by least_model and by verify on
+    both sides of the demand gate."""
     if gate is not None:
         monkeypatch.setattr(oracle, "DEMAND_MIN_CONSTANTS", gate)
     facts = [GroundAtom(0, (0,)), GroundAtom(0, (1,))]
